@@ -8,10 +8,11 @@ validates every witness.  Any disagreement is printed verbatim.
 """
 
 import argparse
+import os
 import sys
 import time
 
-from strata import run_fuzz
+from strata import KbError, run_fuzz
 
 SIZE_CLASSES = [
     # (label, concepts, roles, individuals, gcis)
@@ -26,24 +27,28 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--cases", type=int, default=500)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--jobs", type=int, default=min(2, os.cpu_count() or 1))
     args = ap.parse_args(argv)
 
     print(f"{'class':>10} {'cases':>7} {'queries':>9} {'witnesses':>10} {'bad':>4} {'secs':>7}")
     worst = 0
     for label, ncon, nrol, ninds, ngcis in SIZE_CLASSES:
         t0 = time.perf_counter()
-        rep = run_fuzz(
-            args.cases,
-            args.seed,
-            jobs=args.jobs,
-            check_weak=True,
-            validate_witnesses=True,
-            max_concepts=ncon,
-            max_roles=nrol,
-            max_individuals=ninds,
-            max_gcis=ngcis,
-        )
+        try:
+            rep = run_fuzz(
+                args.cases,
+                args.seed,
+                jobs=args.jobs,
+                check_weak=True,
+                validate_witnesses=True,
+                max_concepts=ncon,
+                max_roles=nrol,
+                max_individuals=ninds,
+                max_gcis=ngcis,
+            )
+        except KbError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         dt = time.perf_counter() - t0
         print(
             f"{label:>10} {rep.cases:>7} {rep.queries:>9} {rep.witnesses_checked:>10} "

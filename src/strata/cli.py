@@ -9,7 +9,6 @@ found counterexample, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -245,8 +244,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    # STRATA_COLOR is accepted for compatibility; output is always plain text.
-    os.environ.get("STRATA_COLOR")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,10 +17,11 @@ Three engines answer "does the KB entail C(a)?":
 
 ``entails_iq`` wires the full pipeline: normalize, stratify (or verify a
 user-supplied order), consistency pre-check, then the selected engine.  The
-pre-check defaults to the oracle: the automata can only reach an individual
-along role steps the axioms license, so a Bot asserted at a role-unreachable
-individual would be missed by the experimental automaton-based check (kept
-available behind ``consistency="automaton"``).
+pre-check defaults to the oracle.  The experimental ``consistency="automaton"``
+check reads asserted Bots directly (a TBox that never mentions Bot gives its
+automata no Bot test) and runs the Bot automaton over the whole TBox from
+every individual; it agrees with the oracle on every generated KB the tests
+try.
 
 True answers come with a run witness replayable against the run conditions:
 role steps follow ABox edges, tests hold at a fixed individual in the
@@ -96,28 +97,18 @@ class Evaluator:
         self.abox = abox
         self.heights = heights
         self.levels = LevelMap(tbox, heights)
-        self._closers: Dict[int, TypeCloser] = {}
         self._sat: Optional[SatResult] = None
         self._sat_closer: Optional[TypeCloser] = None
         self._assert_mask: Dict[str, int] = {}
         self._label: Dict[Tuple[str, int], int] = {}
         self._memo_collapsed: Dict[Tuple[str, str], bool] = {}
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
-        self._anon: Dict[Tuple[int, int, int], tuple] = {}
         self._lower_bits: Dict[int, tuple] = {}
         self._bitname = {1 << pos: name for name, pos in tbox.bit_of.items()}
         self.naive_visited = 0
         self.collapsed_visited = 0
 
     # -- shared plumbing ----------------------------------------------------
-
-    def closer_at(self, n: int) -> TypeCloser:
-        n = min(n, self.levels.max_level)
-        if n not in self._closers:
-            self._closers[n] = TypeCloser(
-                self.levels.tbox_at(n), extra_flood_mask=self.levels.con_mask(n)
-            )
-        return self._closers[n]
 
     def saturation(self) -> SatResult:
         if self._sat is None:
@@ -151,32 +142,6 @@ class Evaluator:
             names = self.levels.concepts_at(n - 1)
             self._lower_bits[n] = tuple((c, 1 << self.tbox.bit_of[c]) for c in names)
         return self._lower_bits[n]
-
-    def _anon_goal_swaps(self, level: int, pmask: int, gbit: int):
-        """Concept bits B with goal entailed from premise + B at this level.
-
-        With a non-trivial premise, swapping the goal for a premise member
-        covers everything a Top swap would, so Top stays a candidate only
-        for the bare premise {Top}; this keeps the reachable state space
-        tight without losing accepting runs.
-        """
-        key = (level, pmask, gbit)
-        got = self._anon.get(key)
-        if got is None:
-            closer = self.closer_at(level)
-            out = []
-            candidates = self.levels.con_mask(level)
-            if pmask != _TOP_BIT:
-                candidates &= ~_TOP_BIT
-            b, pos = candidates, 0
-            while b:
-                if b & 1 and closer.closure_mask(pmask | (1 << pos)) & gbit:
-                    out.append(1 << pos)
-                b >>= 1
-                pos += 1
-            got = tuple(out)
-            self._anon[key] = got
-        return got
 
     # -- collapsed engine ----------------------------------------------------
 
@@ -214,6 +179,8 @@ class Evaluator:
             return concept in self.abox.asserted[ind], None, (ind, concept)
         n = self.levels.height(concept) if level is None else level
         neighbors = self.abox.neighbors
+        swap_mask = self.levels.swap_mask
+        bitname = self._bitname
         start = (ind, concept)
         parents = {start: None}
         queue = deque([start])
@@ -240,8 +207,11 @@ class Evaluator:
                     if b2 and lab & b2:
                         succ.append(((x, ax.lhs1), ("noc", ax)))
             if bit is not None:
-                for swap in self._anon_goal_swaps(n, lab, bit):
-                    succ.append(((x, self._bitname[swap]), ("anon", None)))
+                swaps = swap_mask(n, lab, bit)
+                while swaps:
+                    low = swaps & -swaps
+                    swaps ^= low
+                    succ.append(((x, bitname[low]), ("anon", None)))
             for node2, how in succ:
                 if node2 not in parents:
                     parents[node2] = (node, how)
@@ -296,6 +266,7 @@ class Evaluator:
         level_tbox = self.levels.tbox_at(n)
         con_mask = self.levels.con_mask(n)
         neighbors = self.abox.neighbors
+        swap_mask = self.levels.swap_mask
         lower = self._lower_concept_bits(n)
         start = (ind, _TOP_BIT, concept)
         parents = {start: None}
@@ -337,8 +308,11 @@ class Evaluator:
                     if b2 and pmask & b2:
                         succ.append(((x, pmask, ax.lhs1), TOP_TEST))
             if gbit is not None:
-                for swap in self._anon_goal_swaps(n, pmask, gbit):
-                    succ.append(((x, pmask, self._bitname[swap]), TOP_TEST))
+                swaps = swap_mask(n, pmask, gbit)
+                while swaps:
+                    low = swaps & -swaps
+                    swaps ^= low
+                    succ.append(((x, pmask, self._bitname[low]), TOP_TEST))
             for c, bit in lower:
                 if not pmask & bit and self.naive(c, x, include_weak):
                     succ.append(((x, pmask | bit, goal), AutoTest(c)))
@@ -390,14 +364,16 @@ class Evaluator:
         return self.saturation().inconsistent
 
     def automaton_inconsistent(self) -> bool:
-        """Experimental: run the Bot automaton from every individual.
+        """An asserted Bot, or an accepting run of the Bot automaton over the
+        whole TBox from some individual; differential-tested against the
+        oracle.
 
-        Misses Bot assertions the TBox never mentions and individuals no
-        licensed role path reaches; differential-tested against the oracle.
+        The asserted Bot is read directly: a TBox that never mentions Bot
+        gives its automata no Bot test to read it with.
         """
-        return any(
-            self.collapsed(BOT, x, level=self.levels.max_level)
-            for x in self.abox.individuals
+        individuals = self.abox.individuals
+        return any(BOT in self.abox.asserted[x] for x in individuals) or any(
+            self.collapsed(BOT, x, level=self.levels.max_level) for x in individuals
         )
 
 

@@ -13,6 +13,7 @@ verbatim.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from random import Random
 from typing import List, Tuple
@@ -287,7 +288,14 @@ def run_fuzz(
     max_individuals: int = 10,
     max_gcis: int = 12,
 ) -> FuzzReport:
-    """Run `cases` differential cases; deterministic for a fixed seed."""
+    """Run `cases` differential cases; deterministic for a fixed seed.
+
+    `jobs` worker processes share the cases; more than the CPU count is
+    refused before any worker starts.
+    """
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise KbError(f"jobs must lie between 1 and the CPU count {cpus}, got {jobs}")
     limits = (max_concepts, max_roles, max_individuals, max_gcis)
     work = [
         (i, _case_seed(seed, i), check_weak, validate_witnesses, limits)

@@ -34,6 +34,10 @@ TOP = "Top"
 BOT = "Bot"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# Parsing, normalizing, hashing and printing concepts all recurse on their
+# structure; this bound keeps every such pass far inside Python's recursion
+# limit, so over-deep input is a ParseError rather than a RecursionError.
+MAX_NESTING = 100
 _KEYWORDS = {"exists", "inv", "top", "bot", "Top", "Bot"}
 
 
@@ -380,6 +384,7 @@ class _Tokens:
         self.text = text
         self.line = line
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -411,6 +416,12 @@ class _Tokens:
 
     def col(self) -> int:
         return self.pos + 1
+
+    def enter(self):
+        """Open a parenthesis or an exists; the parser recurses once per level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.err(f"concept nested deeper than {MAX_NESTING} levels")
 
     def err(self, message: str):
         raise ParseError(message, self.line, self.col())
@@ -450,14 +461,19 @@ def _parse_unary(toks: _Tokens, kinds: _KindTable) -> Concept:
     tok = toks.peek()
     if tok == "(":
         toks.take()
+        toks.enter()
         c = _parse_concept(toks, kinds)
         toks.expect(")")
+        toks.depth -= 1
         return c
     if tok == "exists":
         toks.take()
         role = _parse_role(toks, kinds)
         toks.expect(".")
-        return Exists(role, _parse_unary(toks, kinds))
+        toks.enter()
+        c = Exists(role, _parse_unary(toks, kinds))
+        toks.depth -= 1
+        return c
     if tok in ("Top", "top"):
         toks.take()
         return TOP
@@ -479,12 +495,29 @@ def _parse_concept(toks: _Tokens, kinds: _KindTable) -> Concept:
     return c
 
 
+def _height(c: Concept) -> int:
+    """The depth of a concept's syntax tree, computed without recursion."""
+    best = 0
+    stack = [(c, 0)]
+    while stack:
+        node, depth = stack.pop()
+        best = max(best, depth)
+        if isinstance(node, And):
+            stack += [(node.lhs, depth + 1), (node.rhs, depth + 1)]
+        elif isinstance(node, Exists):
+            stack.append((node.filler, depth + 1))
+    return best
+
+
 def _parse_gci_line(toks: _Tokens, kinds: _KindTable) -> Gci:
     lhs = _parse_concept(toks, kinds)
     toks.expect("<=")
     rhs = _parse_concept(toks, kinds)
     if toks.peek() is not None:
         toks.err(f"trailing input: {toks.peek()!r}")
+    # a long flat conjunction parses iteratively but nests one And per '&'
+    if max(_height(lhs), _height(rhs)) > MAX_NESTING:
+        toks.err(f"concept nested deeper than {MAX_NESTING} levels")
     return Gci(lhs, rhs)
 
 

@@ -19,6 +19,19 @@ premise, or Bot does.  Transitions come from seven schemas:
          already in the premise (Top? test)
   aut    delegate a strictly lower concept to its own nested automaton
 
+The anon swaps are computed once per (level, premise, goal) by
+``LevelMap.swap_mask``, which the automaton and both evaluation engines share.
+Two shortcuts keep the closure calls few without changing the set.  If the
+premise alone entails the goal, monotonicity makes every candidate qualify.
+Otherwise only names in the goal's dependency cone are tested: the names from
+which body->head edges of the whole TBox reach the goal or Bot (Bot floods
+every type).  The edges are A->B for ``A <= B``; both conjuncts to the head of
+``A & A2 <= B``; X->B for ``exists r . X <= B``; and for ``A <= exists r . F``,
+A->F plus A->B for every ``exists r . X <= B`` (the successor is an
+r-neighbour of its parent) and every ``exists inv r . X <= B`` (the parent is
+an inv r-neighbour of the successor).  The whole TBox has every level's
+edges, so a name outside the cone cannot add the goal at any level.
+
 The full state space is exponential in the premise component, so states and
 transitions materialize lazily; ``states``/``transitions`` force the
 reachable fragment, which is all the exports need.  Weak transitions add
@@ -32,7 +45,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .kb import BOT, TOP, ConjSub, ExLeft, KbError, Role, Sub, TBox
-from .saturate import TypeCloser
 from .stratify import LevelMap, check_stratification
 
 
@@ -83,16 +95,7 @@ class _Family:
         self.heights = heights
         self.include_weak = include_weak
         self.levels = LevelMap(tbox, heights)
-        self._closers: Dict[int, TypeCloser] = {}
         self._nfas: Dict[Tuple[str, int], "NestedNfa"] = {}
-
-    def closer_at(self, n: int) -> TypeCloser:
-        n = min(n, self.levels.max_level)
-        if n not in self._closers:
-            self._closers[n] = TypeCloser(
-                self.levels.tbox_at(n), extra_flood_mask=self.levels.con_mask(n)
-            )
-        return self._closers[n]
 
     def automaton(self, concept: str, level: int = None) -> "NestedNfa":
         if level is None:
@@ -113,8 +116,6 @@ class NestedNfa:
         self.include_weak = family.include_weak
         self.tbox = family.tbox
         self.level_tbox = family.levels.tbox_at(level)
-        self.con_mask = family.levels.con_mask(level)
-        self.closer = family.closer_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
         # alphabet pieces
         cons = [TOP]
@@ -125,10 +126,6 @@ class NestedNfa:
         self.lower_names = family.levels.concepts_at(level - 1)
         self._states = None
         self._transitions = None
-
-    @property
-    def weak_included(self) -> bool:
-        return self.include_weak
 
     def nested(self, concept: str) -> "NestedNfa":
         if self.family.levels.height(concept) >= self.level:
@@ -163,12 +160,12 @@ class NestedNfa:
                     out.append((TOP_TEST, AutState(premise, ax.lhs1)))
         goal_bit = self.tbox.bit_of.get(goal)
         if goal_bit is not None:
-            gmask = 1 << goal_bit
-            pmask = self.tbox.mask_of(premise)
+            bit_of = self.tbox.bit_of
+            swaps = self.family.levels.swap_mask(
+                self.level, self.tbox.mask_of(premise), 1 << goal_bit
+            )
             for b in self.con_names:
-                if b == TOP and premise != {TOP}:
-                    continue  # a premise-member swap subsumes the Top swap
-                if self.closer.closure_mask(pmask | self.tbox.mask_of([b])) & gmask:
+                if swaps >> bit_of[b] & 1:
                     out.append((TOP_TEST, AutState(premise, b)))
         for b in self.lower_names:
             out.append((AutoTest(b), AutState(premise | {b}, goal)))

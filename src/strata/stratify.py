@@ -37,8 +37,10 @@ from .kb import (
     NormGci,
     Sub,
     TBox,
+    axiom_names,
     format_axiom,
 )
+from .saturate import TypeCloser
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ def verify_preorder(tbox: TBox, heights: Dict[str, int]) -> List[Violation]:
 
 def axiom_level(ax: NormGci, heights: Dict[str, int]) -> int:
     """The height level an axiom lives at: the max height of its names."""
-    cnames, rnames = _names_of(ax)
+    cnames, rnames = axiom_names(ax)
     level = 0
     for n in cnames:
         if n not in (TOP, BOT):
@@ -382,12 +384,6 @@ def axiom_level(ax: NormGci, heights: Dict[str, int]) -> int:
     for n in rnames:
         level = max(level, heights.get(n, 0))
     return level
-
-
-def _names_of(ax):
-    from .kb import axiom_names
-
-    return axiom_names(ax)
 
 
 def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
@@ -401,7 +397,8 @@ def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
 
 
 class LevelMap:
-    """Per-level views of a stratified TBox: restrictions, concept masks.
+    """Per-level views of a stratified TBox: restrictions, concept masks,
+    type closers and the anon swap sets the automata share.
 
     ``con(T|n)`` is taken as the TBox concept names of height at most n
     (plus Top, plus Bot when Bot occurs at that level): a name of low height
@@ -417,6 +414,10 @@ class LevelMap:
             self.max_level = max(self.max_level, axiom_level(ax, heights))
         self._tbox_at = {}
         self._con_mask = {}
+        self._closers: Dict[int, TypeCloser] = {}
+        self._swaps: Dict[Tuple[int, int, int], int] = {}
+        self._cones: Dict[int, int] = {}
+        self._preds: Optional[Dict[int, int]] = None
         by_height = sorted(tbox.concept_names, key=lambda c: (heights.get(c, 0), c))
         self._concepts_by_height = tuple(by_height)
 
@@ -451,3 +452,89 @@ class LevelMap:
     def concepts_at(self, n: int):
         """Concept names of height <= n (no Top/Bot), lowest first."""
         return tuple(c for c in self._concepts_by_height if self.heights.get(c, 0) <= n)
+
+    def closer_at(self, n: int) -> TypeCloser:
+        """The TypeCloser of T|n; Bot floods a type to con(T|n)."""
+        n = min(n, self.max_level)
+        closer = self._closers.get(n)
+        if closer is None:
+            closer = self._closers[n] = TypeCloser(
+                self.tbox_at(n), extra_flood_mask=self.con_mask(n)
+            )
+        return closer
+
+    def swap_mask(self, level: int, premise_mask: int, goal_bit: int) -> int:
+        """The anon schema: bits B of con(T|level) whose addition to the
+        premise entails the goal at that level.
+
+        Top is a candidate only for the bare premise {Top}: with more in the
+        premise, a premise-member swap covers everything a Top swap would.
+        Monotonicity answers at once when the premise alone entails the goal;
+        otherwise only names outside the premise and inside the goal's
+        dependency cone (see ``_cone``) can change the closure, so only they
+        are tested.  Both shortcuts need the premise inside con(T|level), as
+        every premise the automata build is: a Bot flood keeps only
+        con(T|level), so the closure is monotone on those premises alone.
+        """
+        key = (level, premise_mask, goal_bit)
+        got = self._swaps.get(key)
+        if got is None:
+            level = min(level, self.max_level)
+            top_bit = self.tbox.top_bit
+            candidates = self.con_mask(level)
+            if premise_mask != top_bit:
+                candidates &= ~top_bit
+            closer = self.closer_at(level)
+            if closer.closure_mask(premise_mask) & goal_bit:
+                got = candidates
+            else:
+                got = 0
+                rest = candidates & self._cone(goal_bit) & ~premise_mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if closer.closure_mask(premise_mask | low) & goal_bit:
+                        got |= low
+            self._swaps[key] = got
+        return got
+
+    def _cone(self, goal_bit: int) -> int:
+        """Names from which body->head edges of the whole TBox reach the goal
+        or Bot: a superset of what can put the goal into any level's closure."""
+        cone = self._cones.get(goal_bit)
+        if cone is None:
+            preds = self._cone_preds()
+            cone = frontier = goal_bit | self.tbox.bot_bit
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = preds.get(low, 0) & ~cone
+                cone |= new
+                frontier |= new
+            self._cones[goal_bit] = cone
+        return cone
+
+    def _cone_preds(self) -> Dict[int, int]:
+        """Per head bit, the mask of names one body->head edge below it."""
+        if self._preds is None:
+            t = self.tbox
+            preds: Dict[int, int] = {}
+
+            def edge(body, head):
+                preds[head] = preds.get(head, 0) | body
+
+            for lbit, rbit, _ in t.subs:
+                edge(lbit, rbit)
+            for lmask, rbit, _ in t.conjs:
+                edge(lmask, rbit)
+            for _, fbit, rbit, _ in t.exlefts:
+                edge(fbit, rbit)
+            for lbit, role, fbit, _ in t.exrights:
+                edge(lbit, fbit)
+                # the new successor is a role-neighbour of its parent, and
+                # the parent an inverse-role neighbour of the successor
+                for r in (role, role.invert()):
+                    for _, rbit, _ in t.exlefts_by_role.get(r, ()):
+                        edge(lbit, rbit)
+            self._preds = preds
+        return self._preds

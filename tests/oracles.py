@@ -19,6 +19,7 @@ from strata import (
     Role,
     Sub,
     TBox,
+    TypeCloser,
 )
 
 
@@ -195,3 +196,18 @@ def random_abox(rng: Random, names, roles, max_individuals: int = 4) -> AboxGrap
             (Role(rng.choice(roles), rng.random() < 0.3), rng.choice(inds), rng.choice(inds))
         )
     return AboxGraph(concept_asserts, role_asserts, inds)
+
+
+def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int) -> int:
+    """The anon schema by exhaustive scan: every bit B of con(T|n) (Top only
+    for the bare premise {Top}) whose addition to the premise puts the goal
+    into the closure `closer` computes for T|n."""
+    candidates = con_mask if premise_mask == 1 else con_mask & ~1
+    out = 0
+    pos = 0
+    while candidates >> pos:
+        bit = 1 << pos
+        if candidates & bit and closer.closure_mask(premise_mask | bit) & goal_bit:
+            out |= bit
+        pos += 1
+    return out

@@ -149,9 +149,40 @@ def test_fuzz_prints_first_counterexample_verbatim(capsys, monkeypatch):
     assert "tbox:\nA <= B\nabox:\nA(a0)\n" in out
 
 
+def test_fuzz_jobs_beyond_cpu_count_start_no_pool(capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    from strata import KbError, run_fuzz
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was created")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    too_many = (os.cpu_count() or 1) + 1
+    for jobs in (0, too_many):
+        with pytest.raises(KbError, match="CPU count"):
+            run_fuzz(4, 1, jobs=jobs)
+    assert main(["fuzz", "--cases", "4", "--jobs", str(too_many)]) == 2
+    assert "CPU count" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["check", "/nonexistent/kb.kb"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["(" * 3000 + "A" + ")" * 3000 + " <= B", "exists r . " * 2000 + "A <= B"],
+    ids=["parentheses", "exists"],
+)
+def test_over_deep_nesting_is_a_usage_error(tmp_path, capsys, line):
+    p = tmp_path / "deep.kb"
+    p.write_text(f"tbox:\n{line}\nabox:\nA(a)\n", encoding="utf-8")
+    for argv in (["check", str(p)], ["ask", str(p), "--query", "B(a)"]):
+        assert main(argv) == 2
+        assert "nested deeper than" in capsys.readouterr().err
 
 
 def test_parse_error_position_reported(tmp_path, capsys):

@@ -14,6 +14,7 @@ from strata import (
     Role,
     RoleStep,
     TBox,
+    TypeCloser,
     build_automaton,
     check_stratification,
     entails_iq,
@@ -21,11 +22,14 @@ from strata import (
     eval_naive,
     normalize,
     parse_kb,
+    qbf_to_kb,
+    random_qbf,
     random_stratified_kb,
     validate_witness,
 )
 
 from conftest import TEX_TEXT
+from oracles import swap_mask_scan
 
 
 def _reach():
@@ -131,14 +135,13 @@ def test_pipeline_rejects_bad_user_order():
 
 
 def test_experimental_consistency_check_documented_gap():
-    # asserted Bot over an empty TBox: the automaton check has no Bot test
-    # to read, so it disagrees with the oracle; the pre-check is the default
-    # for exactly this reason.
+    # asserted Bot under a TBox that never mentions Bot: the automata have no
+    # Bot test to read it with, yet the automaton check agrees with the oracle
     kb = parse_kb("tbox:\nA <= A\nabox:\nBot(b)\nr(a, b)\nA(a)\n")
     with_oracle = entails_iq(kb.gcis, kb.abox, "Z", "a", consistency="oracle")
     with_automaton = entails_iq(kb.gcis, kb.abox, "Z", "a", consistency="automaton")
     assert with_oracle.inconsistent and with_oracle.answer
-    assert not with_automaton.inconsistent and not with_automaton.answer
+    assert with_automaton.inconsistent and with_automaton.answer
 
 
 def test_automaton_consistency_check_sees_derivable_bot():
@@ -150,13 +153,93 @@ def test_automaton_consistency_check_sees_derivable_bot():
 @settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_automaton_consistency_matches_oracle_on_role_connected_kbs(seed):
-    # the documented gap needs a Bot no licensed path reaches; on generated
-    # KBs disagreements must always be one-sided (automaton misses only)
     tbox, abox = random_stratified_kb(Random(seed), max_gcis=8)
     ev = Evaluator(tbox, abox)
-    oracle = ev.oracle_inconsistent()
-    automaton = ev.automaton_inconsistent()
-    assert (not automaton) or oracle
+    assert ev.automaton_inconsistent() == ev.oracle_inconsistent()
+
+
+def test_automaton_consistency_sees_bot_through_an_inverse_role_successor():
+    # b gets A from its r-edge to c; A's anonymous inv s-successor then has b
+    # as an s-neighbour and derives Bot, so A must lie in Bot's swap cone
+    kb = parse_kb(
+        "tbox:\nA <= exists inv s . A\nexists s . Top <= Bot\nexists r . D <= A\n"
+        "abox:\nr(b, c)\nD(c)\n"
+    )
+    tbox, _ = normalize(kb.gcis)
+    ev = Evaluator(tbox, kb.abox)
+    assert ev.oracle_inconsistent()
+    assert ev.automaton_inconsistent()
+
+
+# -- the anon schema ------------------------------------------------------------
+
+
+def _asked_swaps(ev, concepts, individuals):
+    """Every (level, premise, goal) the collapsed and naive engines ask for."""
+    asked = set()
+    swap_mask = ev.levels.swap_mask
+
+    def recording(level, premise_mask, goal_bit):
+        asked.add((level, premise_mask, goal_bit))
+        return swap_mask(level, premise_mask, goal_bit)
+
+    ev.levels.swap_mask = recording
+    for concept in concepts:
+        for ind in individuals:
+            ev.collapsed(concept, ind)
+            ev.naive(concept, ind)
+    ev.automaton_inconsistent()
+    del ev.levels.swap_mask
+    return asked
+
+
+def _assert_swaps_match_scan(levels, triples):
+    closers = {}
+    for level, premise_mask, goal_bit in sorted(triples):
+        n = min(level, levels.max_level)
+        if n not in closers:
+            closers[n] = TypeCloser(levels.tbox_at(n), extra_flood_mask=levels.con_mask(n))
+        want = swap_mask_scan(closers[n], levels.con_mask(n), premise_mask, goal_bit)
+        assert levels.swap_mask(level, premise_mask, goal_bit) == want, (
+            level,
+            premise_mask,
+            goal_bit,
+        )
+
+
+@pytest.mark.parametrize(
+    "limits", [(3, 2, 4, 6), (6, 3, 10, 12), (4, 2, 5, 14), (6, 3, 16, 10)],
+    ids=["tiny", "default", "dense", "wide"],
+)
+@settings(max_examples=60)
+@given(st.integers(0, 1_000_000))
+def test_swap_mask_matches_the_exhaustive_scan(limits, seed):
+    tbox, abox = random_stratified_kb(Random(seed), *limits)
+    ev = Evaluator(tbox, abox)
+    triples = _asked_swaps(ev, tbox.concept_names, abox.individuals)
+    # the signatures are small enough to also try every premise the automata
+    # can build at a level (Top plus a subset of con(T|n)) against every goal
+    levels = ev.levels
+    goals = [1 << b for b in tbox.bit_of.values()]
+    for n in range(levels.max_level + 1):
+        rest = levels.con_mask(n) & ~1
+        sub = rest
+        while True:
+            triples.update((n, sub | 1, g) for g in goals)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    _assert_swaps_match_scan(levels, triples)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 1_000_000), st.integers(2, 3), st.integers(2, 3))
+def test_swap_mask_matches_the_exhaustive_scan_on_qbf_reductions(seed, n, m):
+    gen = qbf_to_kb(random_qbf(seed, n, m))
+    ev = Evaluator(gen.tbox, gen.abox, gen.heights)
+    triples = _asked_swaps(ev, [gen.query[0]], [gen.query[1]])
+    assert triples
+    _assert_swaps_match_scan(ev.levels, triples)
 
 
 # -- engine agreement & witnesses --------------------------------------------
@@ -204,7 +287,7 @@ def test_horn_monotonicity(seed):
         if ev.collapsed(c, i)
     ]
     # grow the ABox and re-ask
-    extra_c = [(rng.choice(tbox.concept_names), rng.choice(abox.individuals))]
+    extra_c = [(rng.choice(tbox.concept_names or ("A",)), rng.choice(abox.individuals))]
     extra_r = [
         (
             Role(rng.choice(tbox.role_names or ("r",))),

@@ -19,6 +19,7 @@ from strata import (
     Role,
     Sub,
     TBox,
+    entails_iq,
     format_kb,
     kb_from_normal,
     normalize,
@@ -82,6 +83,38 @@ def test_parse_errors_carry_position():
         parse_kb("tbox:\nA <= B\norder:\nA\norder:\nB\nabox:\nA(a)\n")
     with pytest.raises(ParseError, match="before the first section"):
         parse_kb("A <= B\n")
+
+
+OVER_DEEP = {
+    "parentheses": "(" * 3000 + "A" + ")" * 3000 + " <= B",
+    "exists": "exists r . " * 2000 + "A <= B",
+    "conjunction": " & ".join(["A"] * 3000) + " <= B",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OVER_DEEP))
+def test_parse_rejects_over_deep_nesting(shape):
+    with pytest.raises(ParseError, match="nested deeper than") as err:
+        parse_kb(f"tbox:\n{OVER_DEEP[shape]}\nabox:\nA(a)\n")
+    assert err.value.line == 2
+
+
+def test_nesting_at_the_bound_runs_the_whole_pipeline():
+    from strata.kb import MAX_NESTING as n
+
+    conj = " & ".join(f"A{i}" for i in range(n + 1))
+    text = (
+        "tbox:\n"
+        f"{'(' * n}A{')' * n} <= B\n"
+        f"{'exists r . ' * n}A <= C\n"
+        f"{conj} <= D\n"
+        "abox:\nA(a)\nr(a, a)\n" + "".join(f"A{i}(a)\n" for i in range(n + 1))
+    )
+    kb = parse_kb(text)
+    for concept in "BCD":
+        res = entails_iq(kb.gcis, kb.abox, concept, "a", want_witness=True)
+        assert res.answer and res.witness, concept
+        assert oracle_entails(normalize(kb.gcis)[0], kb.abox, concept, "a", want_trace=True)[1]
 
 
 def test_parse_rejects_kind_conflicts():

@@ -104,7 +104,7 @@ def test_weak_transitions_only_when_asked():
     tbox = _reach_tbox()
     plain = build_automaton(tbox, concept="A")
     weak = build_automaton(tbox, concept="A", include_weak=True)
-    assert not plain.weak_included and weak.weak_included
+    assert not plain.include_weak and weak.include_weak
     acc = AutState(frozenset({TOP, "A"}), "A")
     drop = (acc, TOP_TEST, AutState(frozenset({TOP}), "A"))
     assert drop in weak.transitions
