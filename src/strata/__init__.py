@@ -34,10 +34,12 @@ from .stratify import (
     ForcedConstraints,
     LevelMap,
     MustStrict,
+    NotStratifiedError,
     StratResult,
     Violation,
     check_stratification,
     forced_constraints,
+    heights_for,
     restrict,
     verify_preorder,
 )
@@ -63,11 +65,8 @@ from .rewrite import (
 from .evaluate import (
     Evaluator,
     IqResult,
-    NotStratifiedError,
     RunStep,
     entails_iq,
-    eval_collapsed,
-    eval_naive,
     validate_witness,
 )
 from .qbf import Qbf3Dnf, QbfKb, qbf_to_kb, qbf_valid_bruteforce, random_qbf

@@ -13,12 +13,12 @@ import re
 import sys
 from pathlib import Path
 
-from .evaluate import NotStratifiedError, entails_iq
+from .evaluate import entails_iq
 from .kb import KbError, ParseError, normalize, parse_kb
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import build_automaton, export_automaton
 from .saturate import oracle_entails
-from .stratify import check_stratification, verify_preorder
+from .stratify import NotStratifiedError, heights_for, verify_preorder
 from .fuzz import run_fuzz
 
 _QUERY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\(([A-Za-z][A-Za-z0-9_]*)\)$")
@@ -49,24 +49,9 @@ def _cmd_check(args) -> int:
     tbox, fresh = normalize(kb.gcis)
     for name in sorted(fresh):
         print(f"fresh: {name}")
-    if kb.order is not None:
-        violations = verify_preorder(tbox, kb.order)
-        notes = ()
-        heights = kb.order
-        source = "order-section"
-    else:
-        res = check_stratification(tbox)
-        violations = res.violations
-        notes = res.notes
-        heights = res.height
-        source = "minimal"
-    if violations:
-        print("result: REJECTED")
-        for v in violations:
-            print(f"violation: {v}")
-        return 1
+    heights, notes = heights_for(tbox, kb.order)  # rejection: see main()
     print("result: ACCEPTED")
-    print(f"order: {source}")
+    print(f"order: {'minimal' if kb.order is None else 'order-section'}")
     for note in notes:
         print(f"note: {note}")
     _print_heights(heights)
@@ -76,16 +61,7 @@ def _cmd_check(args) -> int:
 def _cmd_rewrite(args) -> int:
     kb = _load(args.kb)
     tbox, _ = normalize(kb.gcis)
-    if kb.order is not None:
-        violations = verify_preorder(tbox, kb.order)
-        if violations:
-            raise NotStratifiedError(violations)
-        heights = dict(kb.order)
-    else:
-        res = check_stratification(tbox)
-        if not res.accepted:
-            raise NotStratifiedError(res.violations)
-        heights = res.height
+    heights, _ = heights_for(tbox, kb.order)
     nfa = build_automaton(tbox, heights, args.for_concept, include_weak=args.include_weak)
     text = export_automaton(nfa, "text")
     sys.stdout.write(text)

@@ -3,10 +3,13 @@
 Three engines answer "does the KB entail C(a)?":
 
 * ``naive``:     faithful product search: breadth-first over pairs of an
-                  ABox individual and an automaton state, following exactly
-                  the transitions the nested NFA licenses and that pass at
-                  the current individual.  Nested automaton tests are
-                  evaluated recursively through a memo table.
+                  ABox individual and a state of the automaton ``rewrite``
+                  builds, following ``NestedNfa.successors`` where the symbol
+                  passes at the current individual: a role step moves along
+                  an ABox edge, a concept test needs Top or an assertion, and
+                  a nested automaton test recurses through a memo table.  It
+                  has no transition schema of its own, so it checks the
+                  rewriting itself.
 * ``collapsed``: the production path.  Every transition guard and the
                   acceptance condition are monotone in the premise, and at a
                   fixed individual the premise can only ever accumulate the
@@ -47,19 +50,12 @@ from .kb import (
     TBox,
     normalize,
 )
-from .rewrite import AutState, AutoTest, ConceptTest, NestedNfa, RoleStep, TOP_TEST
+from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
 from .saturate import SatResult, TypeCloser, oracle_entails, saturate_abox
-from .stratify import LevelMap, check_stratification, verify_preorder
+from .stratify import LevelMap, NotStratifiedError, heights_for  # noqa: F401 (re-export)
 
 _TOP_BIT = 1
 _BOT_BIT = 2
-
-
-class NotStratifiedError(KbError):
-    def __init__(self, violations):
-        self.violations = violations
-        lines = "; ".join(str(v) for v in violations)
-        super().__init__(f"TBox is not stratified: {lines}")
 
 
 def _assertion_witness(concept, ind):
@@ -84,15 +80,21 @@ class RunStep:
 RunWitness = Tuple[RunStep, ...]
 
 
+def _path(parents, hit):
+    """(previous node, node, edge label) along the search path to `hit`."""
+    path = [hit]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]][0])
+    path.reverse()
+    return [(prev, cur, parents[cur][1]) for prev, cur in zip(path, path[1:])]
+
+
 class Evaluator:
     """Shared engine state for many queries over one (TBox, ABox) pair."""
 
     def __init__(self, tbox: TBox, abox: AboxGraph, heights: dict = None):
         if heights is None:
-            res = check_stratification(tbox)
-            if not res.accepted:
-                raise NotStratifiedError(res.violations)
-            heights = res.height
+            heights, _ = heights_for(tbox)
         self.tbox = tbox
         self.abox = abox
         self.heights = heights
@@ -103,6 +105,7 @@ class Evaluator:
         self._label: Dict[Tuple[str, int], int] = {}
         self._memo_collapsed: Dict[Tuple[str, str], bool] = {}
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
+        self._families: Dict[bool, _Family] = {}
         self._lower_bits: Dict[int, tuple] = {}
         self._bitname = {1 << pos: name for name, pos in tbox.bit_of.items()}
         self.naive_visited = 0
@@ -230,13 +233,8 @@ class Evaluator:
 
         if parents is None:
             return (_assertion_witness(concept, ind),)
-        path = [hit]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]][0])
-        path.reverse()
         steps = []
-        for prev, cur in zip(path, path[1:]):
-            kind, ax = parents[cur][1]
+        for prev, cur, (kind, ax) in _path(parents, hit):
             sym = RoleStep(ax.role) if kind == "succ" else TOP_TEST
             steps.append(RunStep(prev[0], state(prev), sym, state(cur), cur[0]))
         if not steps:
@@ -255,69 +253,44 @@ class Evaluator:
             self._memo_naive[key] = got
         return got
 
+    def _automaton(self, concept: str, include_weak: bool):
+        """The rewriting automaton of `concept`, from the family the naive
+        engine shares per `include_weak` value."""
+        family = self._families.get(include_weak)
+        if family is None:
+            family = self._families[include_weak] = _Family(self.levels, include_weak)
+        return family.automaton(concept)
+
     def _naive_search(self, concept: str, ind: str, include_weak: bool):
-        """Faithful BFS over (individual, premise, goal) product nodes."""
+        """BFS over (individual, automaton state) product nodes."""
         if concept == TOP:
-            return True, None, (ind, _TOP_BIT, TOP)
-        gbit0 = self._goal_bit(concept)
-        if gbit0 is None:
+            return True, None, None
+        if concept not in self.tbox.bit_of:
             return concept in self.abox.asserted[ind], None, None
-        n = self.levels.height(concept)
-        level_tbox = self.levels.tbox_at(n)
-        con_mask = self.levels.con_mask(n)
+        nfa = self._automaton(concept, include_weak)
+        asserted = self.abox.asserted
         neighbors = self.abox.neighbors
-        swap_mask = self.levels.swap_mask
-        lower = self._lower_concept_bits(n)
-        start = (ind, _TOP_BIT, concept)
+        start = (ind, nfa.initial)
         parents = {start: None}
         queue = deque([start])
         while queue:
             node = queue.popleft()
             self.naive_visited += 1
-            x, pmask, goal = node
-            gbit = self._goal_bit(goal)
-            if goal == TOP or (gbit is not None and pmask & gbit) or pmask & _BOT_BIT:
+            x, state = node
+            if nfa.is_accepting(state):
                 return True, parents, node
-            succ = []
-            if include_weak:
-                b, pos = pmask & ~_TOP_BIT, 0
-                while b:
-                    if b & 1:
-                        succ.append(((x, pmask & ~(1 << pos), goal), TOP_TEST))
-                    b >>= 1
-                    pos += 1
-            readable = (_TOP_BIT | (self.assert_mask(x) & con_mask)) & ~pmask
-            b, pos = readable, 0
-            while b:
-                if b & 1:
-                    bit = 1 << pos
-                    succ.append(((x, pmask | bit, goal), ConceptTest(self._bitname[bit])))
-                b >>= 1
-                pos += 1
-            for ax in level_tbox.by_rhs(goal):
-                if isinstance(ax, Sub):
-                    succ.append(((x, pmask, ax.lhs), TOP_TEST))
-                elif isinstance(ax, ExLeft):
-                    for y in neighbors(x, ax.role):
-                        succ.append(((y, _TOP_BIT, ax.filler), RoleStep(ax.role)))
-                elif isinstance(ax, ConjSub):
-                    b1 = self._goal_bit(ax.lhs1)
-                    b2 = self._goal_bit(ax.lhs2)
-                    if b1 and pmask & b1:
-                        succ.append(((x, pmask, ax.lhs2), TOP_TEST))
-                    if b2 and pmask & b2:
-                        succ.append(((x, pmask, ax.lhs1), TOP_TEST))
-            if gbit is not None:
-                swaps = swap_mask(n, pmask, gbit)
-                while swaps:
-                    low = swaps & -swaps
-                    swaps ^= low
-                    succ.append(((x, pmask, self._bitname[low]), TOP_TEST))
-            for c, bit in lower:
-                if not pmask & bit and self.naive(c, x, include_weak):
-                    succ.append(((x, pmask | bit, goal), AutoTest(c)))
-            for node2, sym in succ:
-                if node2 not in parents:
+            for sym, dst in nfa.successors(state):
+                moves = neighbors(x, sym.role) if isinstance(sym, RoleStep) else (x,)
+                for y in moves:
+                    node2 = (y, dst)
+                    if node2 in parents:
+                        continue
+                    if isinstance(sym, ConceptTest):
+                        if sym.concept != TOP and sym.concept not in asserted[x]:
+                            continue
+                    elif isinstance(sym, AutoTest):
+                        if not self.naive(sym.concept, x, include_weak):
+                            continue
                     parents[node2] = (node, sym)
                     queue.append(node2)
         return False, parents, None
@@ -326,25 +299,12 @@ class Evaluator:
         found, parents, hit = self._naive_search(concept, ind, include_weak)
         if not found:
             return None
-
-        def state(node):
-            _, pmask, goal = node
-            return AutState(self.tbox.names_of(pmask) | {TOP}, goal)
-
         if parents is None:
             return (_assertion_witness(concept, ind),)
-        path = [hit]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]][0])
-        path.reverse()
-        steps = []
-        for prev, cur in zip(path, path[1:]):
-            sym = parents[cur][1]
-            steps.append(RunStep(prev[0], state(prev), sym, state(cur), cur[0]))
-        if not steps:
-            st = state(hit)
-            steps.append(RunStep(hit[0], st, TOP_TEST, st, hit[0]))
-        return tuple(steps)
+        return tuple(
+            RunStep(prev[0], prev[1], sym, cur[1], cur[0])
+            for prev, cur, sym in _path(parents, hit)
+        )
 
     # -- oracle + consistency --------------------------------------------------
 
@@ -382,25 +342,6 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 
 
-def eval_collapsed(tbox, heights, abox, concept, ind, want_witness=False):
-    ev = Evaluator(tbox, abox, heights)
-    answer = ev.collapsed(concept, ind)
-    witness = ev.collapsed_witness(concept, ind) if (answer and want_witness) else None
-    return answer, witness
-
-
-def eval_naive(nfa: NestedNfa, abox, ind, want_witness=False):
-    """Evaluate a built automaton over an ABox by product search."""
-    ev = Evaluator(nfa.tbox, abox, nfa.family.heights)
-    answer = ev.naive(nfa.for_concept, ind, nfa.include_weak)
-    witness = (
-        ev.naive_witness(nfa.for_concept, ind, nfa.include_weak)
-        if (answer and want_witness)
-        else None
-    )
-    return answer, witness
-
-
 @dataclass
 class IqResult:
     answer: bool
@@ -435,18 +376,7 @@ def entails_iq(
         tbox, fresh = normalize(tbox_or_gcis)
     if ind not in abox.asserted:
         raise KbError(f"unknown individual {ind!r}")
-    if order is not None:
-        violations = verify_preorder(tbox, order)
-        if violations:
-            raise NotStratifiedError(violations)
-        heights = dict(order)
-        notes = ()
-    else:
-        res = check_stratification(tbox)
-        if not res.accepted:
-            raise NotStratifiedError(res.violations)
-        heights = res.height
-        notes = res.notes
+    heights, notes = heights_for(tbox, order)
     ev = Evaluator(tbox, abox, heights)
 
     inconsistent = False

@@ -240,11 +240,6 @@ class TBox:
             for a in self.axioms
             if isinstance(a, ConjSub)
         )
-        self.exrights = tuple(
-            (1 << self.bit_of[a.lhs], a.role, 1 << self.bit_of[a.filler], a)
-            for a in self.axioms
-            if isinstance(a, ExRight)
-        )
         self.exlefts = tuple(
             (a.role, 1 << self.bit_of[a.filler], 1 << self.bit_of[a.rhs], a)
             for a in self.axioms
@@ -253,7 +248,20 @@ class TBox:
         by_role = {}
         for role, fbit, rbit, a in self.exlefts:
             by_role.setdefault(role, []).append((fbit, rbit, a))
-        self.exlefts_by_role = {r: tuple(v) for r, v in by_role.items()}
+        # Per existential head: (lbit, fbit, axiom, back, fwd), where `back`
+        # lists the existential bodies the new successor reads off its parent
+        # (over the inverse role) and `fwd` those the parent reads off it.
+        self.spawns = tuple(
+            (
+                1 << self.bit_of[a.lhs],
+                1 << self.bit_of[a.filler],
+                a,
+                tuple(by_role.get(a.role.invert(), ())),
+                tuple(by_role.get(a.role, ())),
+            )
+            for a in self.axioms
+            if isinstance(a, ExRight)
+        )
 
         rhs_index = {}
         for a in self.axioms:

@@ -9,7 +9,7 @@ already known to hold at the current node, the goal is the single concept
 still to be established there.  A state accepts when the goal sits in the
 premise, or Bot does.  Transitions come from seven schemas:
 
-  weak   drop part of the premise                 (Top? test; off by default)
+  weak   drop one name from the premise           (Top? test; off by default)
   data   read an asserted concept into the premise (B? test)
   sbus   replace the goal along an inclusion axiom (Top? test)
   succ   move to a role successor to prove an existential body (role step)
@@ -33,10 +33,15 @@ an inv r-neighbour of the successor).  The whole TBox has every level's
 edges, so a name outside the cone cannot add the goal at any level.
 
 The full state space is exponential in the premise component, so states and
-transitions materialize lazily; ``states``/``transitions`` force the
-reachable fragment, which is all the exports need.  Weak transitions add
-nothing to evaluation (every guard is monotone in the premise) and are
-excluded unless asked for.
+transitions materialize lazily: ``successors`` computes (and memoizes) one
+state's transitions, which is all the naive engine walks, and
+``states``/``transitions`` force the reachable fragment, which is all the
+exports need.  That fragment can still be exponential in con(T|n) (a
+conjunction of k names reaches thousands of states for k = 5), so one family
+materializes at most ``MAX_STATES`` states and refuses past that.  Weak
+transitions add nothing to evaluation (every guard is monotone in the
+premise) and are excluded unless asked for; dropping one name at a time
+reaches every sub-premise without a transition per subset.
 """
 
 from __future__ import annotations
@@ -45,7 +50,16 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .kb import BOT, TOP, ConjSub, ExLeft, KbError, Role, Sub, TBox
-from .stratify import LevelMap, check_stratification
+from .stratify import LevelMap, heights_for
+
+# The most states one automaton family may materialize; past it the rewriting
+# is refused with a KbError (exit 2 from the CLI).  The data schema makes the
+# reachable part exponential in con(T|n): one conjunction axiom of 3, 4, 5, 6
+# names reaches 174, 840, 3,890, 17,724 states.  The largest families built
+# elsewhere: 448 states in the tests, 18,286 for the QBF reduction of one
+# variable and one clause (every reduction tried with more variables or
+# clauses is refused).
+MAX_STATES = 20_000
 
 
 @dataclass(frozen=True)
@@ -90,11 +104,11 @@ TOP_TEST = ConceptTest(TOP)
 class _Family:
     """Shared construction context: one automaton per concept name."""
 
-    def __init__(self, tbox: TBox, heights: dict, include_weak: bool):
-        self.tbox = tbox
-        self.heights = heights
+    def __init__(self, levels: LevelMap, include_weak: bool):
+        self.tbox = levels.tbox
+        self.levels = levels
         self.include_weak = include_weak
-        self.levels = LevelMap(tbox, heights)
+        self.materialized = 0
         self._nfas: Dict[Tuple[str, int], "NestedNfa"] = {}
 
     def automaton(self, concept: str, level: int = None) -> "NestedNfa":
@@ -124,6 +138,7 @@ class NestedNfa:
             cons.append(BOT)
         self.con_names = tuple(cons)
         self.lower_names = family.levels.concepts_at(level - 1)
+        self._succ: Dict[AutState, tuple] = {}
         self._states = None
         self._transitions = None
 
@@ -135,17 +150,19 @@ class NestedNfa:
     def is_accepting(self, state: AutState) -> bool:
         return state.goal in state.premise or BOT in state.premise
 
-    def successors(self, state: AutState):
+    def successors(self, state: AutState) -> tuple:
         """All licensed transitions out of `state`, in schema order."""
+        got = self._succ.get(state)
+        if got is None:
+            got = self._succ[state] = self._schemas(state)
+        return got
+
+    def _schemas(self, state: AutState) -> tuple:
         out = []
         premise, goal = state.premise, state.goal
         if self.include_weak:
-            rest = sorted(premise - {TOP})
-            for mask in range(1 << len(rest)):
-                kept = frozenset(
-                    [TOP] + [c for i, c in enumerate(rest) if mask >> i & 1]
-                )
-                out.append((TOP_TEST, AutState(kept, goal)))
+            for c in sorted(premise - {TOP}):
+                out.append((TOP_TEST, AutState(premise - {c}, goal)))
         for b in self.con_names:
             out.append((ConceptTest(b), AutState(premise | {b}, goal)))
         for ax in self.level_tbox.by_rhs(goal):
@@ -170,17 +187,13 @@ class NestedNfa:
         for b in self.lower_names:
             out.append((AutoTest(b), AutState(premise | {b}, goal)))
         # collapse duplicate instances licensed by several schemas
-        seen = set()
-        uniq = []
-        for sym, st in out:
-            if (sym, st) not in seen:
-                seen.add((sym, st))
-                uniq.append((sym, st))
-        return uniq
+        return tuple(dict.fromkeys(out))
 
     def materialize(self):
         if self._states is not None:
             return
+        family = self.family
+        family.materialized += 1
         frontier = [self.initial]
         seen = {self.initial}
         order = [self.initial]
@@ -191,6 +204,12 @@ class NestedNfa:
                 for sym, dst in self.successors(st):
                     transitions.append((st, sym, dst))
                     if dst not in seen:
+                        family.materialized += 1
+                        if family.materialized > MAX_STATES:
+                            raise KbError(
+                                f"the rewriting of {self.for_concept} needs more "
+                                f"than {MAX_STATES} automaton states"
+                            )
                         seen.add(dst)
                         order.append(dst)
                         nxt.append(dst)
@@ -235,16 +254,12 @@ def build_automaton(
     if concept is None:
         raise KbError("build_automaton needs a concept name")
     if heights is None:
-        res = check_stratification(tbox)
-        if not res.accepted:
-            raise KbError("TBox is not stratified")
-        heights = res.height
+        heights, _ = heights_for(tbox)
     if concept not in (TOP, BOT) and concept not in tbox.bit_of:
         tbox = TBox(tbox.axioms, extra_concepts=(concept,))
         heights = dict(heights)
         heights.setdefault(concept, 0)
-    family = _Family(tbox, heights, include_weak)
-    return family.automaton(concept, level)
+    return _Family(LevelMap(tbox, heights), include_weak).automaton(concept, level)
 
 
 # ---------------------------------------------------------------------------

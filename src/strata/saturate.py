@@ -3,7 +3,9 @@
 Entailment for these knowledge bases is forward rule application: concept
 inclusions fire locally, existential heads spawn anonymous successors, and
 existential bodies fire back across asserted edges and those successors.
-This module computes it two ways:
+One kernel, ``_fire``, closes a single node's type under those rules, given
+the types of the anonymous successors the node spawns; every fixpoint below
+calls it:
 
 * ``TypeCloser`` answers "which concept names follow for a single node with
   premise S" as a least fixpoint over contexts.  A context is either the
@@ -13,9 +15,10 @@ This module computes it two ways:
   the TBox concept signature.  When Bot enters a type, that type becomes the
   full signature (ex falso); global inconsistency is flagged separately.
 
-* ``saturate_abox`` runs the same rules over a whole ABox, treating each
+* ``saturate_abox`` runs the kernel over a whole ABox, treating each
   individual's current label as the parent premise of its anonymous
-  successors, and firing existential bodies across asserted role edges.
+  successors (whose final types come from a ``TypeCloser``), and pushes
+  existential bodies across asserted role edges.
 
 Both record, for every derived fact, the rule application that first produced
 it, so a full derivation (a replayable sequence of single rule applications)
@@ -49,6 +52,74 @@ _BOT_BIT = 2  # 1 << bit_of[Bot]
 _STAGE_LIMIT = 10_000
 
 
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first, each as a one-bit mask."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low
+
+
+def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None) -> int:
+    """Close one node's type `cur` under the sub, conj and existential rules.
+
+    `child_of(seed)` gives the type of the anonymous successor an existential
+    head spawns with that seed; without it only sub and conj fire.  When Bot
+    enters the type it becomes `flood`.  With a `justs` dict, the first rule
+    application adding each bit is recorded there; anonymous ones carry
+    `stage`, the round whose successor types `child_of` returns (None for
+    final types).
+    """
+    changed = True
+    while changed:
+        changed = False
+        for lbit, rbit, ax in tbox.subs:
+            if cur & lbit and not cur & rbit:
+                cur |= rbit
+                if justs is not None:
+                    justs[rbit] = ("sub", ax)
+                changed = True
+        for lmask, rbit, ax in tbox.conjs:
+            if cur & lmask == lmask and not cur & rbit:
+                cur |= rbit
+                if justs is not None:
+                    justs[rbit] = ("conj", ax)
+                changed = True
+        if child_of is None:
+            continue
+        for lbit, fbit, exr, back, fwd in tbox.spawns:
+            if not cur & lbit:
+                continue
+            parent = cur
+            seed = _TOP_BIT | fbit
+            for f2, r2, _ in back:
+                if parent & f2:
+                    seed |= r2
+            child = child_of(seed)
+            if child & _BOT_BIT and not cur & _BOT_BIT:
+                cur |= _BOT_BIT
+                if justs is not None:
+                    justs[_BOT_BIT] = ("anon_bot", exr, _seed_pairs(back, parent), seed, stage)
+                changed = True
+            for f2, r2, exl in fwd:
+                if child & f2 and not cur & r2:
+                    cur |= r2
+                    if justs is not None:
+                        justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed, stage)
+                    changed = True
+    if cur & _BOT_BIT:
+        if justs is not None:
+            for bit in _bits(flood & ~cur):
+                justs.setdefault(bit, ("exfalso",))
+        return flood
+    return cur
+
+
+def _seed_pairs(back, parent: int) -> tuple:
+    """The (axiom, filler bit) pairs that put names into a successor's seed."""
+    return tuple((exl, f2) for f2, _, exl in back if parent & f2)
+
+
 class TypeCloser:
     """Entailed concepts of a single node, memoized per premise set."""
 
@@ -72,13 +143,14 @@ class TypeCloser:
         got = self._vals.get(mask)
         if got is not None:
             return got
-        self._vals[mask] = self._local(mask, None)
+        self._vals[mask] = _fire(self.tbox, mask, None, self.flood_mask)
         self._run_worklist([mask])
         return self._vals[mask]
 
     # -- fixpoint ---------------------------------------------------------
 
     def _run_worklist(self, roots):
+        tbox, flood = self.tbox, self.flood_mask
         queue = deque(roots)
         queued = set(roots)
         fresh = []
@@ -86,7 +158,7 @@ class TypeCloser:
         def dep(seed, user):
             v = self._vals.get(seed)
             if v is None:
-                v = self._vals[seed] = self._local(seed, None)
+                v = self._vals[seed] = _fire(tbox, seed, None, flood)
                 fresh.append(seed)
             self._rdeps.setdefault(seed, set()).add(user)
             return v
@@ -95,7 +167,7 @@ class TypeCloser:
             m = queue.popleft()
             queued.discard(m)
             before = self._vals[m]
-            after = self._local(before, lambda seed, m=m: dep(seed, m))
+            after = _fire(tbox, before, lambda seed, m=m: dep(seed, m), flood)
             for s in fresh:
                 if s not in queued:
                     queue.append(s)
@@ -112,40 +184,6 @@ class TypeCloser:
                     queue.append(m)
                     queued.add(m)
 
-    def _local(self, cur: int, child_of) -> int:
-        """Close `cur` under the rules; `child_of` supplies successor types."""
-        tbox = self.tbox
-        changed = True
-        while changed:
-            changed = False
-            for lbit, rbit, _ in tbox.subs:
-                if cur & lbit and not cur & rbit:
-                    cur |= rbit
-                    changed = True
-            for lmask, rbit, _ in tbox.conjs:
-                if cur & lmask == lmask and not cur & rbit:
-                    cur |= rbit
-                    changed = True
-            if child_of is not None:
-                for lbit, role, fbit, _ in tbox.exrights:
-                    if not cur & lbit:
-                        continue
-                    seed = _TOP_BIT | fbit
-                    for f2, r2, _ in tbox.exlefts_by_role.get(role.invert(), ()):
-                        if cur & f2:
-                            seed |= r2
-                    child = child_of(seed)
-                    add = _BOT_BIT if child & _BOT_BIT else 0
-                    for f2, r2, _ in tbox.exlefts_by_role.get(role, ()):
-                        if child & f2:
-                            add |= r2
-                    if add & ~cur:
-                        cur |= add
-                        changed = True
-        if cur & _BOT_BIT:
-            return self.flood_mask
-        return cur
-
     # -- staged views (justifications / traces) -----------------------------
 
     def _stage_val(self, mask: int, k: int, build_justs: bool = False) -> int:
@@ -155,93 +193,23 @@ class TypeCloser:
         got = self._stage_vals.get(key)
         if got is not None and (not build_justs or key in self._stage_justs):
             return got
-        justs = {}
+        justs = None
         if k == 0:
-            cur = mask
+            cur, child_of = mask, None
             if build_justs:
-                b, pos = mask, 0
-                while b:
-                    if b & 1:
-                        justs[1 << pos] = ("seed",)
-                    b >>= 1
-                    pos += 1
-            cur = self._replay_local(cur, None, justs if build_justs else None, k)
+                justs = {bit: ("seed",) for bit in _bits(mask)}
         else:
             cur = self._stage_val(mask, k - 1, build_justs)
             if build_justs:
                 justs = dict(self._stage_justs[(mask, k - 1)])
-            cur = self._replay_local(
-                cur,
-                lambda seed: self._stage_val(seed, k - 1, build_justs),
-                justs if build_justs else None,
-                k,
-            )
+
+            def child_of(seed):
+                return self._stage_val(seed, k - 1, build_justs)
+
+        cur = _fire(self.tbox, cur, child_of, self.flood_mask, justs, k - 1)
         self._stage_vals[key] = cur
         if build_justs:
             self._stage_justs[key] = justs
-        return cur
-
-    def _replay_local(self, cur, child_of, justs, stage):
-        tbox = self.tbox
-        changed = True
-        while changed:
-            changed = False
-            for lbit, rbit, ax in tbox.subs:
-                if cur & lbit and not cur & rbit:
-                    cur |= rbit
-                    if justs is not None:
-                        justs[rbit] = ("sub", ax)
-                    changed = True
-            for lmask, rbit, ax in tbox.conjs:
-                if cur & lmask == lmask and not cur & rbit:
-                    cur |= rbit
-                    if justs is not None:
-                        justs[rbit] = ("conj", ax)
-                    changed = True
-            if child_of is not None:
-                for lbit, role, fbit, exr in tbox.exrights:
-                    if not cur & lbit:
-                        continue
-                    seed = _TOP_BIT | fbit
-                    seed_pairs = []
-                    for f2, r2, exl2 in tbox.exlefts_by_role.get(role.invert(), ()):
-                        if cur & f2:
-                            seed |= r2
-                            seed_pairs.append((exl2, f2))
-                    child = child_of(seed)
-                    if child & _BOT_BIT and not cur & _BOT_BIT:
-                        cur |= _BOT_BIT
-                        if justs is not None:
-                            justs[_BOT_BIT] = (
-                                "anon_bot",
-                                exr,
-                                tuple(seed_pairs),
-                                seed,
-                                stage - 1,
-                            )
-                        changed = True
-                    for f2, r2, exl in tbox.exlefts_by_role.get(role, ()):
-                        if child & f2 and not cur & r2:
-                            cur |= r2
-                            if justs is not None:
-                                justs[r2] = (
-                                    "anon",
-                                    exr,
-                                    exl,
-                                    tuple(seed_pairs),
-                                    seed,
-                                    stage - 1,
-                                )
-                            changed = True
-        if cur & _BOT_BIT:
-            if justs is not None:
-                b, pos = self.flood_mask & ~cur, 0
-                while b:
-                    if b & 1:
-                        justs.setdefault(1 << pos, ("exfalso",))
-                    b >>= 1
-                    pos += 1
-            return self.flood_mask
         return cur
 
     def stable_stage(self, mask: int) -> int:
@@ -278,7 +246,7 @@ class SatResult:
     labels: Dict[str, int]
     inconsistent: bool
     bot_at: Optional[str]
-    justs: dict  # (ind, concept bit) -> rule application
+    justs: dict  # ind -> {concept bit: rule application}
 
     def entailed(self, ind: str) -> frozenset:
         names = set(self.tbox.names_of(self.labels[ind]))
@@ -291,16 +259,18 @@ class SatResult:
 def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> SatResult:
     """Fixpoint labels for every individual, plus the consistency verdict."""
     closer = closer or TypeCloser(tbox)
+    child_of, flood = closer.closure_mask, closer.flood_mask
     bit_of = tbox.bit_of
     labels = {}
     justs = {}
     for a in abox.individuals:
         m = _TOP_BIT
+        justs[a] = {}
         for c in abox.asserted[a]:
             bit = bit_of.get(c)
             if bit is not None:
                 m |= 1 << bit
-                justs[(a, 1 << bit)] = ("init",)
+                justs[a][1 << bit] = ("init",)
         labels[a] = m
 
     queue = deque(abox.individuals)
@@ -311,59 +281,17 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     while queue:
         a = queue.popleft()
         queued.discard(a)
-        cur = labels[a]
-        changed = True
-        while changed:
-            changed = False
-            for lbit, rbit, ax in tbox.subs:
-                if cur & lbit and not cur & rbit:
-                    cur |= rbit
-                    justs.setdefault((a, rbit), ("sub", ax))
-                    changed = True
-            for lmask, rbit, ax in tbox.conjs:
-                if cur & lmask == lmask and not cur & rbit:
-                    cur |= rbit
-                    justs.setdefault((a, rbit), ("conj", ax))
-                    changed = True
-            for lbit, role, fbit, exr in tbox.exrights:
-                if not cur & lbit:
-                    continue
-                seed = _TOP_BIT | fbit
-                seed_pairs = []
-                for f2, r2, exl2 in tbox.exlefts_by_role.get(role.invert(), ()):
-                    if cur & f2:
-                        seed |= r2
-                        seed_pairs.append((exl2, f2))
-                child = closer.closure_mask(seed)
-                if child & _BOT_BIT and not cur & _BOT_BIT:
-                    cur |= _BOT_BIT
-                    justs.setdefault((a, _BOT_BIT), ("anon_bot", exr, tuple(seed_pairs), seed))
-                    changed = True
-                for f2, r2, exl in tbox.exlefts_by_role.get(role, ()):
-                    if child & f2 and not cur & r2:
-                        cur |= r2
-                        justs.setdefault((a, r2), ("anon", exr, exl, tuple(seed_pairs), seed))
-                        changed = True
-        if cur & _BOT_BIT:
-            if not inconsistent:
-                inconsistent = True
-                bot_at = a
-            flood = closer.flood_mask
-            b, pos = flood & ~cur, 0
-            while b:
-                if b & 1:
-                    justs.setdefault((a, 1 << pos), ("exfalso",))
-                b >>= 1
-                pos += 1
-            cur = flood
-        labels[a] = cur
+        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a])
+        if cur & _BOT_BIT and not inconsistent:
+            inconsistent = True
+            bot_at = a
         # push existential bodies across asserted edges
         for role, fbit, rbit, exl in tbox.exlefts:
             if cur & fbit:
                 for nb in abox.neighbors(a, role.invert()):
                     if not labels[nb] & rbit:
                         labels[nb] |= rbit
-                        justs.setdefault((nb, rbit), ("edge", exl, a))
+                        justs[nb][rbit] = ("edge", exl, a)
                         if rbit == _BOT_BIT and not inconsistent:
                             inconsistent = True
                             bot_at = nb
@@ -439,7 +367,7 @@ class _TraceBuilder:
             return
         bit = 1 << self.tbox.bit_of[c]
         if ctx[0] == "named":
-            just = self.sat.justs[(node, bit)]
+            just = self.sat.justs[node][bit]
         else:
             _, seed, stage = ctx
             just = self.closer.justs_at(seed, stage)[bit]
@@ -475,7 +403,7 @@ class _TraceBuilder:
             )
         elif kind == "anon":
             exr, exl, seed_pairs, seed = just[1], just[2], just[3], just[4]
-            stage = just[5] if len(just) > 5 else self.closer.stable_stage(seed)
+            stage = just[5] if just[5] is not None else self.closer.stable_stage(seed)
             child = self._spawn(exr, seed_pairs, node, ctx)
             self.ensure(exl.filler, child, ("anon", seed, stage))
             self.step(

@@ -1,5 +1,7 @@
 """Stratification analysis: forced order constraints, the decision procedure,
 user-order verification, height computation, and TBox level restriction.
+``heights_for`` is the one front door the CLI, the pipeline, the rewriting
+and the evaluator take to get heights.
 
 A TBox is stratified when some preorder on its concept and role names
 satisfies, per axiom shape:
@@ -306,6 +308,33 @@ def check_stratification(tbox: TBox) -> StratResult:
     return StratResult(accepted, scc_of, heights, violations, fc.notes)
 
 
+class NotStratifiedError(KbError):
+    def __init__(self, violations):
+        self.violations = violations
+        lines = "; ".join(str(v) for v in violations)
+        super().__init__(f"TBox is not stratified: {lines}")
+
+
+def heights_for(
+    tbox: TBox, order: Optional[Dict[str, int]] = None
+) -> Tuple[Dict[str, int], Tuple[str, ...]]:
+    """The heights every pipeline stage runs on, and the checker's notes.
+
+    A user `order` (name -> height) is verified and used as given; without
+    one the minimal heights are computed.  Raises NotStratifiedError listing
+    the violations when the order is inadmissible or the TBox unstratified.
+    """
+    if order is not None:
+        violations = verify_preorder(tbox, order)
+        if violations:
+            raise NotStratifiedError(violations)
+        return dict(order), ()
+    res = check_stratification(tbox)
+    if not res.accepted:
+        raise NotStratifiedError(res.violations)
+    return res.height, res.notes
+
+
 def verify_preorder(tbox: TBox, heights: Dict[str, int]) -> List[Violation]:
     """Check the stratification conditions against a user height map.
 
@@ -529,12 +558,11 @@ class LevelMap:
                 edge(lmask, rbit)
             for _, fbit, rbit, _ in t.exlefts:
                 edge(fbit, rbit)
-            for lbit, role, fbit, _ in t.exrights:
+            for lbit, fbit, _, back, fwd in t.spawns:
                 edge(lbit, fbit)
                 # the new successor is a role-neighbour of its parent, and
                 # the parent an inverse-role neighbour of the successor
-                for r in (role, role.invert()):
-                    for _, rbit, _ in t.exlefts_by_role.get(r, ()):
-                        edge(lbit, rbit)
+                for _, rbit, _ in back + fwd:
+                    edge(lbit, rbit)
             self._preds = preds
         return self._preds

@@ -211,3 +211,29 @@ def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bi
             out |= bit
         pos += 1
     return out
+
+
+def saturate_per_node(tbox: TBox, abox: AboxGraph):
+    """ABox labels by the per-node path: close each individual's label as a
+    ``TypeCloser`` context and push existential bodies across asserted edges,
+    until nothing changes.  Returns {individual: label mask}."""
+    closer = TypeCloser(tbox)
+    labels = {
+        a: tbox.top_bit | tbox.mask_of(c for c in abox.asserted[a] if c in tbox.bit_of)
+        for a in abox.individuals
+    }
+    changed = True
+    while changed:
+        changed = False
+        for a in abox.individuals:
+            new = closer.closure_mask(labels[a])
+            if new != labels[a]:
+                labels[a] = new
+                changed = True
+            for role, fbit, rbit, _ in tbox.exlefts:
+                if new & fbit:
+                    for nb in abox.neighbors(a, role.invert()):
+                        if not labels[nb] & rbit:
+                            labels[nb] |= rbit
+                            changed = True
+    return labels

@@ -15,13 +15,13 @@ from strata import (
     And,
     BOT,
     Exists,
+    Evaluator,
     ExLeft,
     Gci,
     Role,
     TBox,
     check_stratification,
     entails_iq,
-    eval_collapsed,
     normalize,
     parse_kb,
     qbf_to_kb,
@@ -97,7 +97,7 @@ def test_criterion_03_rpq_equivalence():
         labeled = {v for v in nodes if rng.random() < 0.15}
         abox = AboxGraph([("A", v) for v in labeled], edges, nodes)
         start = rng.choice(nodes)
-        got = eval_collapsed(tbox, heights, abox, "A", start)[0]
+        got = Evaluator(tbox, abox, heights).collapsed("A", start)
         seen, frontier, want = {start}, [start], False
         while frontier and not want:
             nxt = []
@@ -119,7 +119,7 @@ def test_criterion_03_rpq_equivalence():
         [(r, f"c{i}", f"c{i+1}") for i in range(10000)],
     )
     t0 = time.perf_counter()
-    assert eval_collapsed(tbox, heights, chain, "A", "c0")[0]
+    assert Evaluator(tbox, chain, heights).collapsed("A", "c0")
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _line(3, f"200 graphs match reachability; 10k chain in {elapsed:.2f}s")

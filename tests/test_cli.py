@@ -1,5 +1,8 @@
 """The command-line surface: exit codes, stable output, file handling."""
 
+import hashlib
+import time
+
 import pytest
 
 from strata.cli import main
@@ -37,9 +40,17 @@ def test_check_accepts_with_height_table(tex_file, capsys):
 
 def test_check_rejects_with_violations(tprime_file, capsys):
     assert main(["check", tprime_file]) == 1
-    out = capsys.readouterr().out
-    assert "result: REJECTED" in out
-    assert "strictly below X1" in out
+    assert capsys.readouterr().out == (
+        "fresh: X1\n"
+        "fresh: X2\n"
+        "result: REJECTED\n"
+        "violation: axiom 'exists r . A <= X1' needs A strictly below X1, but the "
+        "axioms force the cycle A <= X1 <= A\n"
+        "violation: axiom 'exists s . A <= X2' needs A strictly below X2, but the "
+        "axioms force the cycle A <= X2 <= A\n"
+        "violation: axiom 'X1 & X2 <= A' needs X1 or X2 strictly below A, but both "
+        "are forced into its cycle\n"
+    )
 
 
 def test_check_verifies_order_section(tmp_path, capsys):
@@ -103,6 +114,29 @@ def test_rewrite_text_and_dot(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "automaton: A" in out and "states: 2" in out
     assert dot.read_text().startswith("digraph")
+
+
+def _conjunction_kb(tmp_path, k):
+    p = tmp_path / f"conj{k}.kb"
+    body = " & ".join(f"A{i}" for i in range(k))
+    p.write_text(f"tbox:\n{body} <= B\nabox:\nA0(a)\n", encoding="utf-8")
+    return str(p)
+
+
+def test_rewrite_past_the_state_budget_is_a_usage_error(tmp_path, capsys):
+    t0 = time.perf_counter()
+    assert main(["rewrite", _conjunction_kb(tmp_path, 8), "--for", "B"]) == 2
+    assert time.perf_counter() - t0 < 30.0
+    assert "automaton states" in capsys.readouterr().err
+
+
+def test_rewrite_below_the_state_budget_is_unchanged(tmp_path, capsys):
+    assert main(["rewrite", _conjunction_kb(tmp_path, 3), "--for", "B"]) == 0
+    out = capsys.readouterr().out
+    states = [int(line.split()[1]) for line in out.splitlines() if line.startswith("states:")]
+    assert sum(states) == 174
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "40546560292b9a12176d9d12c864c8804ce7567546ccb833ad70f1b6412ad1c1"
 
 
 def test_bench_qbf_small(capsys, tmp_path):

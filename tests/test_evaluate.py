@@ -6,6 +6,7 @@ from random import Random
 
 from strata import (
     AboxGraph,
+    AutoTest,
     ConceptTest,
     Evaluator,
     ExLeft,
@@ -18,8 +19,6 @@ from strata import (
     build_automaton,
     check_stratification,
     entails_iq,
-    eval_collapsed,
-    eval_naive,
     normalize,
     parse_kb,
     qbf_to_kb,
@@ -46,50 +45,50 @@ def _chain(n, labeled_last=True):
 
 def test_naive_follows_chain_with_three_step_witness():
     tbox, heights = _reach()
-    nfa = build_automaton(tbox, heights, "A")
-    abox = _chain(2)
-    ans, wit = eval_naive(nfa, abox, "a0", want_witness=True)
-    assert ans and len(wit) == 3
+    ev = Evaluator(tbox, _chain(2), heights)
+    wit = ev.naive_witness("A", "a0")
+    assert ev.naive("A", "a0") and len(wit) == 3
     assert [type(s.symbol) for s in wit] == [RoleStep, RoleStep, ConceptTest]
 
 
 def test_naive_accepts_immediately_on_assertion():
     tbox, heights = _reach()
-    nfa = build_automaton(tbox, heights, "A")
-    abox = _chain(2)
-    ans, wit = eval_naive(nfa, abox, "a2", want_witness=True)
-    assert ans and len(wit) == 1 and wit[0].symbol == ConceptTest("A")
+    ev = Evaluator(tbox, _chain(2), heights)
+    wit = ev.naive_witness("A", "a2")
+    assert ev.naive("A", "a2") and len(wit) == 1 and wit[0].symbol == ConceptTest("A")
 
 
 def test_naive_rejects_without_assertions():
-    nfa = build_automaton(TBox([]), {}, "A")
     abox = AboxGraph(concept_asserts=[("B", "a")])
-    assert eval_naive(nfa, abox, "a") == (False, None)
+    ev = Evaluator(TBox([], extra_concepts=("A",)), abox, {"A": 0})
+    assert not ev.naive("A", "a") and ev.naive_witness("A", "a") is None
 
 
 def test_collapsed_worked_example(tex):
     tbox, abox, heights = tex
-    assert eval_collapsed(tbox, heights, abox, "D", "a")[0]
-    assert eval_collapsed(tbox, heights, abox, "C", "a")[0]
+    ev = Evaluator(tbox, abox, heights)
+    assert ev.collapsed("D", "a")
+    assert ev.collapsed("C", "a")
 
 
 def test_collapsed_long_chain():
     tbox, heights = _reach()
-    assert eval_collapsed(tbox, heights, _chain(10), "A", "a0")[0]
-    assert not eval_collapsed(tbox, heights, _chain(10, labeled_last=False), "A", "a0")[0]
+    assert Evaluator(tbox, _chain(10), heights).collapsed("A", "a0")
+    assert not Evaluator(tbox, _chain(10, labeled_last=False), heights).collapsed("A", "a0")
 
 
 def test_collapsed_irrelevant_individual(tex):
     tbox, _, heights = tex
     abox = AboxGraph(concept_asserts=[("A", "a")], individuals=["a", "b"])
-    assert not eval_collapsed(tbox, heights, abox, "D", "b")[0]
-    assert eval_collapsed(tbox, heights, abox, "D", "a")[0]
+    ev = Evaluator(tbox, abox, heights)
+    assert not ev.collapsed("D", "b")
+    assert ev.collapsed("D", "a")
 
 
 def test_collapsed_unknown_individual(tex):
     tbox, abox, heights = tex
     with pytest.raises(KbError, match="unknown individual"):
-        eval_collapsed(tbox, heights, abox, "D", "zz")
+        Evaluator(tbox, abox, heights).collapsed("D", "zz")
 
 
 # -- pipeline ---------------------------------------------------------------
@@ -349,22 +348,39 @@ def test_engines_agree_under_inflated_user_orders(seed):
             assert ev_user.naive(c, a) == want
 
 
-def test_naive_witness_steps_are_real_transitions():
-    # every product step the witness takes is licensed by the built automaton
-    tbox, heights = _reach()
-    nfa = build_automaton(tbox, heights, "A")
-    abox = _chain(3)
-    _, wit = eval_naive(nfa, abox, "a0", want_witness=True)
+def _assert_witness_follows_automaton(ev, nfa, concept, ind, include_weak=False):
+    """Every step of the naive witness, and of the witnesses of its nested
+    tests, is a transition of the separately built automaton."""
     transitions = set(nfa.transitions)
-    for step in wit:
+    for step in ev.naive_witness(concept, ind, include_weak):
         assert (step.state, step.symbol, step.next_state) in transitions
+        if isinstance(step.symbol, AutoTest):
+            c = step.symbol.concept
+            _assert_witness_follows_automaton(ev, nfa.nested(c), c, step.source, include_weak)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 1_000_000), st.booleans())
+def test_naive_witness_steps_are_real_transitions(seed, include_weak):
+    # on the reachability chain and on a random KB, every true answer's
+    # witness is a run of the automaton `build_automaton` builds
+    tbox, heights = _reach()
+    cases = [(tbox, _chain(3), heights)]
+    tbox, abox = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=8)
+    cases.append((tbox, abox, None))
+    for tbox, abox, heights in cases:
+        ev = Evaluator(tbox, abox, heights)
+        for concept in tbox.concept_names:
+            nfa = build_automaton(tbox, ev.heights, concept, include_weak=include_weak)
+            for ind in abox.individuals:
+                if ev.naive(concept, ind, include_weak):
+                    _assert_witness_follows_automaton(ev, nfa, concept, ind, include_weak)
 
 
 def test_validator_rejects_broken_witnesses():
     tbox, heights = _reach()
-    nfa = build_automaton(tbox, heights, "A")
     abox = _chain(2)
-    _, wit = eval_naive(nfa, abox, "a0", want_witness=True)
+    wit = Evaluator(tbox, abox, heights).naive_witness("A", "a0")
     # break the chain: claim a role edge that is not there
     from strata import RunStep
 

@@ -9,6 +9,7 @@ from strata import (
     AutoTest,
     BOT,
     ConceptTest,
+    ConjSub,
     ExLeft,
     KbError,
     Role,
@@ -109,6 +110,22 @@ def test_weak_transitions_only_when_asked():
     drop = (acc, TOP_TEST, AutState(frozenset({TOP}), "A"))
     assert drop in weak.transitions
     assert drop not in plain.transitions
+
+
+def test_weak_schema_drops_one_name_per_transition():
+    # a state whose premise holds k names has k weak transitions, not 2^k
+    tbox = TBox([ConjSub("A", "B", "X"), ConjSub("X", "C", "D")])
+    nfa = build_automaton(tbox, concept="D", include_weak=True)
+    for state in nfa.states:
+        weak = [
+            dst.premise
+            for sym, dst in nfa.successors(state)
+            if sym == TOP_TEST and dst.goal == state.goal and dst.premise < state.premise
+        ]
+        assert sorted(weak, key=sorted) == sorted(
+            (state.premise - {c} for c in state.premise - {TOP}), key=sorted
+        )
+    assert max(len(s.premise) for s in nfa.states) >= 4
 
 
 def test_bot_automaton_is_buildable():

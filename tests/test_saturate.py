@@ -24,7 +24,7 @@ from strata import (
     type_closure,
 )
 
-from oracles import chase, random_abox, random_normal_tbox
+from oracles import chase, random_abox, random_normal_tbox, saturate_per_node
 
 
 def test_type_closure_worked_example(tex):
@@ -172,7 +172,11 @@ def test_oracle_traces_replay(seed):
     abox = random_abox(rng, list(tbox.concept_names) or ["A"], list(tbox.role_names) or ["r"], 4)
     closer = TypeCloser(tbox)
     sat = saturate_abox(tbox, abox, closer)
+    # the ABox pass and the per-node TypeCloser path reach the same labels
+    assert sat.labels == saturate_per_node(tbox, abox)
+    assert sat.inconsistent == any(m & 2 for m in sat.labels.values())
     if sat.inconsistent:
+        assert sat.labels[sat.bot_at] & 2
         return
     for a in abox.individuals:
         for c in tbox.concept_names:
