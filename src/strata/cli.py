@@ -32,6 +32,13 @@ def _load(path: str):
     return parse_kb(text)
 
 
+def _write(path: Path, text: str):
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise KbError(f"cannot write {path}: {exc.strerror}")
+
+
 def _parse_query(text: str):
     m = _QUERY_RE.match(text.strip())
     if not m:
@@ -63,10 +70,10 @@ def _cmd_rewrite(args) -> int:
     tbox, _ = normalize(kb.gcis)
     heights, _ = heights_for(tbox, kb.order)
     nfa = build_automaton(tbox, heights, args.for_concept, include_weak=args.include_weak)
-    text = export_automaton(nfa, "text")
-    sys.stdout.write(text)
     if args.dot:
-        Path(args.dot).write_text(export_automaton(nfa, "dot"), encoding="utf-8")
+        _write(Path(args.dot), export_automaton(nfa, "dot"))
+    sys.stdout.write(export_automaton(nfa, "text"))
+    if args.dot:
         print(f"dot: {args.dot}")
     return 0
 
@@ -113,7 +120,7 @@ def _cmd_oracle(args) -> int:
     tbox, _ = normalize(kb.gcis)
     answer, trace = oracle_entails(tbox, kb.abox, concept, ind, want_trace=args.trace)
     print(f"answer: {'true' if answer else 'false'}")
-    if args.trace:
+    if args.trace and answer:
         if trace is None:
             print("trace: unavailable (inconsistent KB entails everything)")
         else:
@@ -126,10 +133,15 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     if args.kind != "qbf":
         raise KbError(f"unknown benchmark {args.kind!r}")
+    if args.count < 0:
+        raise KbError(f"count must be at least 0, got {args.count}")
     failures = 0
     emit_dir = Path(args.emit_dir) if args.emit_dir else None
     if emit_dir:
-        emit_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            emit_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise KbError(f"cannot create {emit_dir}: {exc.strerror}")
     for i in range(args.count):
         formula = random_qbf(args.seed + i, args.n, args.m)
         gen = qbf_to_kb(formula)
@@ -140,7 +152,7 @@ def _cmd_bench(args) -> int:
         if not ok:
             failures += 1
         if emit_dir:
-            (emit_dir / f"case{i:03d}.kb").write_text(gen.kb_text(), encoding="utf-8")
+            _write(emit_dir / f"case{i:03d}.kb", gen.kb_text())
         print(
             f"case {i:03d}: n={args.n} m={args.m} valid={str(valid).lower()} "
             f"entailed={str(result.answer).lower()} "

@@ -291,8 +291,10 @@ def run_fuzz(
     """Run `cases` differential cases; deterministic for a fixed seed.
 
     `jobs` worker processes share the cases; more than the CPU count is
-    refused before any worker starts.
+    refused before any worker starts, as is a negative `cases`.
     """
+    if cases < 0:
+        raise KbError(f"cases must be at least 0, got {cases}")
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise KbError(f"jobs must lie between 1 and the CPU count {cpus}, got {jobs}")

@@ -68,6 +68,8 @@ class Qbf3Dnf:
 
 def random_qbf(seed: int, n: int, m: int) -> Qbf3Dnf:
     """Deterministic random formula: uniform quantifiers, literals, polarities."""
+    if n < 1 or m < 1:
+        raise KbError("need at least one variable and one monomial")
     rng = Random(seed)
     quants = tuple(rng.choice((EXISTS, FORALL)) for _ in range(n))
     monos = tuple(

@@ -20,8 +20,16 @@ satisfies, per axiom shape:
 Axioms with Bot on the right carry no constraint, and Top/Bot never take part
 in the order (their height is pinned to 0).
 
+These conditions are written once, as the clause table ``_clauses``; the
+forced constraints of the decision and the check of a user order both read
+it, so the checker and the verifier cannot disagree.
+
 Heights are the pointwise-least solution of the induced difference
 constraints, so the computed nesting depth for the rewriting is minimal.
+They come from one pass over the strongly connected components of the
+forced edges in topological order (Tarjan, SIAM J. Comput. 1972).  For a
+rejected TBox the same pass skips the violated constraints, so its heights
+are the least solution of the rest.
 """
 
 from __future__ import annotations
@@ -86,56 +94,82 @@ class StratResult:
     notes: Tuple[str, ...] = ()
 
 
+_PINNED = frozenset((TOP, BOT))
+
+
+def _clauses(ax: NormGci):
+    """The stratification conditions of one normal axiom, and its note.
+
+    Each clause is ``("le", lo, hi)`` (lo below hi), ``("lt", lo, hi)`` (lo
+    strictly below hi) or ``("one", (x1, x2), y)`` (x1 or x2 strictly below
+    y).  A role stands for its base name.  Clauses that touch Top or Bot are
+    dropped: both sit at height 0 outside the order.
+    """
+    note = None
+    if isinstance(ax, Sub):
+        clauses = (("le", ax.lhs, ax.rhs),)
+    elif isinstance(ax, ConjSub):
+        clauses = (
+            ("le", ax.lhs1, ax.rhs),
+            ("le", ax.lhs2, ax.rhs),
+            ("one", (ax.lhs1, ax.lhs2), ax.rhs),
+        )
+    elif isinstance(ax, ExRight):
+        # The head's level is its role's level: every existential body
+        # consuming the role sits at or above it, so the spawning axiom
+        # stays visible wherever its successors are read back.
+        role = ax.role.name
+        clauses = (
+            ("le", ax.filler, role),
+            ("le", ax.lhs, role),
+            ("le", ax.lhs, ax.filler),
+        )
+    elif isinstance(ax, ExLeft):
+        role = ax.role.name
+        if ax.rhs in (BOT, TOP):  # not even the role below the filler
+            clauses = ()
+        elif ax.filler == TOP:
+            # A Top filler bounds nothing by itself; keeping the role below
+            # the right-hand side keeps the axiom inside the level the
+            # rewriting for the right-hand side is built from.
+            clauses = (("le", role, ax.rhs),)
+            note = (
+                "existential premises with a Top filler constrain the role "
+                "below the right-hand side"
+            )
+        elif ax.filler == ax.rhs:
+            clauses = (("le", role, ax.filler),)
+        else:
+            clauses = (("le", role, ax.filler), ("lt", ax.filler, ax.rhs))
+    else:
+        raise KbError(f"not a normal-form axiom: {ax!r}")
+    if not _PINNED.isdisjoint(axiom_names(ax)[0]):
+        clauses = tuple(c for c in clauses if not _pinned(c))
+    return clauses, note
+
+
+def _pinned(clause) -> bool:
+    kind, lo, hi = clause
+    return not _PINNED.isdisjoint((*lo, hi) if kind == "one" else (lo, hi))
+
+
 def forced_constraints(tbox: TBox) -> ForcedConstraints:
     """The order constraints every admissible preorder must contain."""
     edges = {}
     strict = []
     notes = set()
-
-    def edge(lo, hi, ax):
-        if lo in (TOP, BOT) or hi in (TOP, BOT):
-            return
-        if (lo, hi) not in edges:
-            edges[(lo, hi)] = ax
-
     for ax in tbox.axioms:
-        if isinstance(ax, Sub):
-            if ax.rhs == BOT:
+        clauses, note = _clauses(ax)
+        if note:
+            notes.add(note)
+        for kind, lo, hi in clauses:
+            if kind == "one":
+                x1, x2 = lo
+                strict.append(AtLeastOne((x1, hi), (x2, hi), ax))
                 continue
-            edge(ax.lhs, ax.rhs, ax)
-        elif isinstance(ax, ConjSub):
-            if ax.rhs == BOT:
-                continue
-            edge(ax.lhs1, ax.rhs, ax)
-            edge(ax.lhs2, ax.rhs, ax)
-            strict.append(AtLeastOne((ax.lhs1, ax.rhs), (ax.lhs2, ax.rhs), ax))
-        elif isinstance(ax, ExRight):
-            edge(ax.lhs, ax.role.name, ax)
-            edge(ax.lhs, ax.filler, ax)
-            # The head's level is its role's level: every existential body
-            # consuming the role sits at or above it, so the spawning axiom
-            # stays visible wherever its successors are read back.
-            edge(ax.filler, ax.role.name, ax)
-        elif isinstance(ax, ExLeft):
-            if ax.rhs in (BOT, TOP):
-                continue
-            if ax.filler == TOP:
-                # A Top filler bounds nothing by itself; keeping the role
-                # below the right-hand side keeps the axiom inside the level
-                # the rewriting for the right-hand side is built from.
-                edge(ax.role.name, ax.rhs, ax)
-                notes.add(
-                    "existential premises with a Top filler constrain the "
-                    "role below the right-hand side"
-                )
-            elif ax.filler == ax.rhs:
-                edge(ax.role.name, ax.filler, ax)
-            else:
-                edge(ax.role.name, ax.filler, ax)
-                edge(ax.filler, ax.rhs, ax)
-                strict.append(MustStrict(ax.filler, ax.rhs, ax))
-        else:
-            raise KbError(f"not a normal-form axiom: {ax!r}")
+            edges.setdefault((lo, hi), ax)
+            if kind == "lt":
+                strict.append(MustStrict(lo, hi, ax))
     return ForcedConstraints(
         frozenset(edges), edges, tuple(strict), tuple(sorted(notes))
     )
@@ -216,36 +250,6 @@ def _cycle_path(lo, hi, succ):
     return [hi, lo]
 
 
-def _least_heights(vertices, fc: ForcedConstraints, cap: int):
-    """Pointwise-least heights satisfying the forced constraints, or None."""
-    h = {v: 0 for v in vertices}
-    edges = sorted(fc.edges)
-    musts = [c for c in fc.strict if isinstance(c, MustStrict)]
-    disj = [c for c in fc.strict if isinstance(c, AtLeastOne)]
-    for _ in range(cap + 2):
-        changed = False
-        for lo, hi in edges:
-            if h[hi] < h[lo]:
-                h[hi] = h[lo]
-                changed = True
-        for c in musts:
-            need = h[c.lo] + 1
-            if h[c.hi] < need:
-                h[c.hi] = need
-                changed = True
-        for c in disj:
-            (x1, y), (x2, _) = c.first, c.second
-            need = min(h[x1], h[x2]) + 1
-            if h[y] < need:
-                h[y] = need
-                changed = True
-        if not changed:
-            return h
-        if max(h.values(), default=0) > cap:
-            return None
-    return None
-
-
 def check_stratification(tbox: TBox) -> StratResult:
     """Decide whether any admissible preorder exists; report minimal heights.
 
@@ -262,6 +266,11 @@ def check_stratification(tbox: TBox) -> StratResult:
         succ.setdefault(lo, []).append(hi)
     scc_of, sccs = _sccs(vertices, succ)
 
+    # Per SCC, the strict constraints with their head in it: tuples of the
+    # SCCs of the lows, one of which must lie strictly below.  A low inside
+    # the head's own SCC cannot, so it drops out; with no low left the
+    # constraint is violated.
+    pulls = [[] for _ in sccs]
     violations = []
     for c in fc.strict:
         if isinstance(c, MustStrict):
@@ -276,35 +285,40 @@ def check_stratification(tbox: TBox) -> StratResult:
                         f"{c.hi}, but the axioms force the cycle {chain}",
                     )
                 )
+            else:
+                pulls[scc_of[c.hi]].append((scc_of[c.lo],))
         else:
-            (x1, y1), (x2, y2) = c.first, c.second
-            if scc_of[x1] == scc_of[y1] and scc_of[x2] == scc_of[y2]:
+            (x1, y), (x2, _) = c.first, c.second
+            k = scc_of[y]
+            lows = tuple(j for j in (scc_of[x1], scc_of[x2]) if j != k)
+            if lows:
+                pulls[k].append(lows)
+            else:
                 violations.append(
                     Violation(
                         "at-least-one",
                         c.axiom,
                         f"axiom '{format_axiom(c.axiom)}' needs {x1} or {x2} strictly "
-                        f"below {y1}, but both are forced into its cycle",
+                        f"below {y}, but both are forced into its cycle",
                     )
                 )
 
+    # One pass over the condensation in topological order: an SCC's height
+    # is the largest pull of its strict constraints, then it pushes its
+    # height along the forced edges out of it.
+    level = [0] * len(sccs)
+    for i, comp in enumerate(sccs):
+        hi = level[i]
+        for lows in pulls[i]:
+            hi = max(hi, min([level[j] for j in lows]) + 1)
+        level[i] = hi
+        for v in comp:
+            for w in succ.get(v, ()):
+                j = scc_of[w]
+                if level[j] < hi:
+                    level[j] = hi
+    heights = {v: level[scc_of[v]] for v in vertices}
     accepted = not violations
-    if accepted:
-        heights = _least_heights(vertices, fc, cap=len(vertices) + 1)
-        if heights is None:  # cannot happen when the SCC check passed
-            raise AssertionError("height fixpoint diverged on an accepted TBox")
-    else:
-        # Best-effort heights for reporting: longest path over the condensation.
-        heights = {}
-        scc_height = [0] * len(sccs)
-        for i, comp in enumerate(sccs):
-            for v in comp:
-                for w in succ.get(v, ()):
-                    j = scc_of[w]
-                    if j != i:
-                        scc_height[j] = max(scc_height[j], scc_height[i] + 1)
-        for v in vertices:
-            heights[v] = scc_height[scc_of[v]]
     return StratResult(accepted, scc_of, heights, violations, fc.notes)
 
 
@@ -353,10 +367,10 @@ def verify_preorder(tbox: TBox, heights: Dict[str, int]) -> List[Violation]:
         if heights.get(pinned, 0) != 0:
             raise KbError(f"the height of {pinned} is fixed at 0")
 
-    def h(name):
-        if name in (TOP, BOT):
-            return 0
-        return heights[name]
+    roles = set(tbox.role_names)
+
+    def show(name):
+        return f"the role {name}" if name in roles else name
 
     violations = []
 
@@ -364,42 +378,15 @@ def verify_preorder(tbox: TBox, heights: Dict[str, int]) -> List[Violation]:
         violations.append(Violation("order", ax, f"axiom '{format_axiom(ax)}': {msg}"))
 
     for ax in tbox.axioms:
-        if isinstance(ax, Sub):
-            if ax.rhs in (BOT, TOP) or ax.lhs == TOP:
-                continue
-            if h(ax.lhs) > h(ax.rhs):
-                bad_clause(ax, f"{ax.lhs} must lie below {ax.rhs}")
-        elif isinstance(ax, ConjSub):
-            if ax.rhs == BOT:
-                continue
-            if h(ax.lhs1) > h(ax.rhs):
-                bad_clause(ax, f"{ax.lhs1} must lie below {ax.rhs}")
-            if h(ax.lhs2) > h(ax.rhs):
-                bad_clause(ax, f"{ax.lhs2} must lie below {ax.rhs}")
-            if min(h(ax.lhs1), h(ax.lhs2)) >= h(ax.rhs):
-                bad_clause(ax, f"{ax.lhs1} or {ax.lhs2} must lie strictly below {ax.rhs}")
-        elif isinstance(ax, ExRight):
-            if ax.filler != TOP and h(ax.filler) > h(ax.role.name):
-                bad_clause(ax, f"{ax.filler} must lie below the role {ax.role.name}")
-            if ax.lhs == TOP:
-                continue
-            if h(ax.lhs) > h(ax.role.name):
-                bad_clause(ax, f"{ax.lhs} must lie below the role {ax.role.name}")
-            if ax.filler != TOP and h(ax.lhs) > h(ax.filler):
-                bad_clause(ax, f"{ax.lhs} must lie below {ax.filler}")
-        elif isinstance(ax, ExLeft):
-            if ax.rhs in (BOT, TOP):
-                continue
-            if ax.filler == TOP:
-                if h(ax.role.name) > h(ax.rhs):
-                    bad_clause(ax, f"the role {ax.role.name} must lie below {ax.rhs}")
-            else:
-                if h(ax.role.name) > h(ax.filler):
-                    bad_clause(ax, f"the role {ax.role.name} must lie below {ax.filler}")
-                if ax.filler != ax.rhs and h(ax.filler) >= h(ax.rhs):
-                    bad_clause(ax, f"{ax.filler} must lie strictly below {ax.rhs}")
-        else:
-            raise KbError(f"not a normal-form axiom: {ax!r}")
+        for kind, lo, hi in _clauses(ax)[0]:
+            if kind == "le":
+                if heights[lo] > heights[hi]:
+                    bad_clause(ax, f"{show(lo)} must lie below {show(hi)}")
+            elif kind == "lt":
+                if heights[lo] >= heights[hi]:
+                    bad_clause(ax, f"{show(lo)} must lie strictly below {show(hi)}")
+            elif min(heights[x] for x in lo) >= heights[hi]:
+                bad_clause(ax, f"{lo[0]} or {lo[1]} must lie strictly below {hi}")
     return violations
 
 

@@ -106,6 +106,18 @@ def test_oracle_trace(tex_file, capsys):
     assert "step 1: apply 'A <= B' at a" in out
 
 
+def test_oracle_trace_of_a_false_answer(tmp_path, capsys):
+    p = tmp_path / "kb.kb"
+    p.write_text("tbox:\nA <= B\nabox:\nA(a)\n", encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", "Zed(a)", "--trace"]) == 1
+    assert capsys.readouterr().out == "answer: false\n"
+    p.write_text("tbox:\nA <= Bot\nabox:\nA(a)\n", encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", "Zed(a)", "--trace"]) == 0
+    assert capsys.readouterr().out == (
+        "answer: true\ntrace: unavailable (inconsistent KB entails everything)\n"
+    )
+
+
 def test_rewrite_text_and_dot(tmp_path, capsys):
     p = tmp_path / "reach.kb"
     p.write_text("tbox:\nexists r . A <= A\nabox:\nA(a)\n", encoding="utf-8")
@@ -121,6 +133,14 @@ def _conjunction_kb(tmp_path, k):
     body = " & ".join(f"A{i}" for i in range(k))
     p.write_text(f"tbox:\n{body} <= B\nabox:\nA0(a)\n", encoding="utf-8")
     return str(p)
+
+
+def test_rewrite_dot_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    dot = tmp_path / "missing" / "out.dot"
+    assert main(["rewrite", _conjunction_kb(tmp_path, 2), "--for", "B", "--dot", str(dot)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {dot}")
+    assert captured.out == ""
 
 
 def test_rewrite_past_the_state_budget_is_a_usage_error(tmp_path, capsys):
@@ -148,6 +168,40 @@ def test_bench_qbf_small(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "failures: 0" in out
     assert len(list(emit.glob("*.kb"))) == 5
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bench_qbf_without_variables_is_a_usage_error(capsys, n):
+    assert main(["bench", "qbf", "--n", n, "--count", "2"]) == 2
+    assert "error: need at least one variable" in capsys.readouterr().err
+
+
+def test_bench_qbf_negative_count_is_a_usage_error(capsys):
+    assert main(["bench", "qbf", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: count must be at least 0" in captured.err
+    assert captured.out == ""
+    assert main(["bench", "qbf", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "total: 0\nfailures: 0\n"
+
+
+def test_bench_qbf_uncreatable_emit_dir_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    emit = blocker / "cases"
+    assert main(["bench", "qbf", "--count", "1", "--emit-dir", str(emit)]) == 2
+    assert f"error: cannot create {emit}" in capsys.readouterr().err
+
+
+def test_fuzz_negative_cases_is_a_usage_error(capsys):
+    from strata import KbError, run_fuzz
+
+    with pytest.raises(KbError, match="cases must be at least 0"):
+        run_fuzz(-3, 1)
+    assert main(["fuzz", "--cases", "-3"]) == 2
+    assert "error: cases must be at least 0" in capsys.readouterr().err
+    assert main(["fuzz", "--cases", "0"]) == 0
+    assert "cases: 0" in capsys.readouterr().out
 
 
 def test_fuzz_small(capsys):

@@ -11,6 +11,7 @@ from strata import (
     AtLeastOne,
     ConjSub,
     ExLeft,
+    ExRight,
     Exists,
     Gci,
     KbError,
@@ -27,7 +28,12 @@ from strata import (
     verify_preorder,
 )
 
-from oracles import bruteforce_min_heights, bruteforce_stratified, random_normal_tbox
+from oracles import (
+    bruteforce_min_heights,
+    bruteforce_stratified,
+    order_admits,
+    random_normal_tbox,
+)
 
 EX3_HEIGHTS = {"A": 0, "B": 1, "C": 2, "r": 2, "D": 3}
 
@@ -83,6 +89,9 @@ def test_check_rejects_separating_tbox_with_cycle_report():
     strict_violations = [v for v in res.violations if v.kind == "strict"]
     assert any("A strictly below X1" in str(v) for v in strict_violations)
     assert any("X1 <= A" in str(v) for v in strict_violations)
+    # the least heights of the constraints that still hold: every strict
+    # constraint sits inside the A/X1/X2 cycle, so nothing lifts a name
+    assert res.height == {"A": 0, "X1": 0, "X2": 0, "r": 0, "s": 0}
 
 
 def test_check_accepts_single_reachability_axiom():
@@ -90,6 +99,22 @@ def test_check_accepts_single_reachability_axiom():
     res = check_stratification(tbox)
     assert res.accepted
     assert res.height == {"A": 0, "r": 0}
+
+
+def test_check_heights_of_a_tall_tower():
+    tbox = TBox([ExLeft(Role("r"), f"C{i}", f"C{i + 1}") for i in range(200)])
+    res = check_stratification(tbox)
+    assert res.accepted
+    assert res.height == {"r": 0, **{f"C{i}": i for i in range(201)}}
+
+
+def test_check_heights_pass_the_verifier_when_a_clause_touches_bot():
+    # not a normal form: the filler Bot takes no part in the order, for the
+    # checker and the verifier alike
+    tbox = TBox([ExRight("A", Role("r"), BOT), ExLeft(Role("s"), "C", "A")])
+    res = check_stratification(tbox)
+    assert res.accepted
+    assert verify_preorder(tbox, res.height) == []
 
 
 @given(st.integers(0, 5000))
@@ -148,6 +173,29 @@ def test_verify_rejects_all_zero_heights(tex):
     assert any("strictly below" in str(v) for v in violations)
 
 
+def test_verify_reports_each_violated_clause_in_axiom_order():
+    tbox = TBox(
+        [
+            Sub("A", "B"),
+            ConjSub("A", "B", "C"),
+            ExRight("C", Role("r"), "D"),
+            ExLeft(Role("s", True), TOP, "A"),
+            ExLeft(Role("q"), "D", "B"),
+        ]
+    )
+    heights = {"A": 2, "B": 1, "C": 1, "D": 2, "r": 0, "s": 3, "q": 3}
+    assert [str(v) for v in verify_preorder(tbox, heights)] == [
+        "axiom 'A <= B': A must lie below B",
+        "axiom 'A & B <= C': A must lie below C",
+        "axiom 'A & B <= C': A or B must lie strictly below C",
+        "axiom 'C <= exists r . D': D must lie below the role r",
+        "axiom 'C <= exists r . D': C must lie below the role r",
+        "axiom 'exists inv s . Top <= A': the role s must lie below A",
+        "axiom 'exists q . D <= B': the role q must lie below D",
+        "axiom 'exists q . D <= B': D must lie strictly below B",
+    ]
+
+
 def test_verify_minimal_heights_pointwise_below_paper_heights(tex):
     res = check_stratification(tex[0])
     assert all(res.height[n] <= EX3_HEIGHTS[n] for n in res.height)
@@ -160,6 +208,16 @@ def test_verify_errors_on_partial_or_negative_maps(tex):
         verify_preorder(tex[0], {**EX3_HEIGHTS, "A": -1})
     with pytest.raises(KbError, match="fixed at 0"):
         verify_preorder(tex[0], {**EX3_HEIGHTS, TOP: 2})
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 100_000))
+def test_verify_matches_the_reference_on_arbitrary_maps(seed):
+    rng = Random(seed)
+    tbox = random_normal_tbox(rng, max_concepts=5, max_roles=2, max_gcis=8)
+    names = set(tbox.concept_names) | set(tbox.role_names)
+    heights = {n: rng.randint(0, 3) for n in names}
+    assert (verify_preorder(tbox, heights) == []) == order_admits(tbox, heights)
 
 
 @given(st.integers(0, 5000))
