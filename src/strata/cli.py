@@ -39,11 +39,15 @@ def _write(path: Path, text: str):
         raise KbError(f"cannot write {path}: {exc.strerror}")
 
 
-def _parse_query(text: str):
+def _parse_query(text: str, kb):
+    """The (concept, individual) of a query `C(a)` over `kb`."""
     m = _QUERY_RE.match(text.strip())
     if not m:
         raise KbError(f"queries look like C(a), got {text!r}")
-    return m.group(1), m.group(2)
+    concept, ind = m.group(1), m.group(2)
+    if concept in kb.role_names():
+        raise KbError(f"{concept} is a role name, not a concept")
+    return concept, ind
 
 
 def _print_heights(heights):
@@ -80,7 +84,7 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_ask(args) -> int:
     kb = _load(args.kb)
-    concept, ind = _parse_query(args.query)
+    concept, ind = _parse_query(args.query, kb)
     result = entails_iq(
         kb.gcis,
         kb.abox,
@@ -116,7 +120,7 @@ def _cmd_ask(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kb = _load(args.kb)
-    concept, ind = _parse_query(args.ask)
+    concept, ind = _parse_query(args.ask, kb)
     tbox, _ = normalize(kb.gcis)
     answer, trace = oracle_entails(tbox, kb.abox, concept, ind, want_trace=args.trace)
     print(f"answer: {'true' if answer else 'false'}")

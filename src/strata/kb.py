@@ -229,39 +229,63 @@ class TBox:
             sig |= self.bot_bit
         self.signature_mask = sig
 
-        # Compiled rule views for the fixpoint engines.
-        self.subs = tuple(
-            (1 << self.bit_of[a.lhs], 1 << self.bit_of[a.rhs], a)
-            for a in self.axioms
-            if isinstance(a, Sub)
-        )
-        self.conjs = tuple(
-            ((1 << self.bit_of[a.lhs1]) | (1 << self.bit_of[a.lhs2]), 1 << self.bit_of[a.rhs], a)
-            for a in self.axioms
-            if isinstance(a, ConjSub)
-        )
-        self.exlefts = tuple(
-            (a.role, 1 << self.bit_of[a.filler], 1 << self.bit_of[a.rhs], a)
-            for a in self.axioms
-            if isinstance(a, ExLeft)
-        )
-        by_role = {}
-        for role, fbit, rbit, a in self.exlefts:
+        # Compiled rule views for the fixpoint engines.  The same pass fills
+        # the trigger index of ``saturate._fire`` (read-only once built): per
+        # one-bit mask, [subs (rbit, axiom), conjs (lmask, rbit, axiom), mask
+        # of the spawn positions] whose body reads that bit; `body_mask`
+        # holds every bit some body reads.
+        bit_of = self.bit_of
+        triggers = {}
+        subs, conjs, exlefts, exrights = [], [], [], []
+        for a in self.axioms:
+            if isinstance(a, Sub):
+                lbit, rbit = 1 << bit_of[a.lhs], 1 << bit_of[a.rhs]
+                subs.append((lbit, rbit, a))
+                slot = triggers.get(lbit) or triggers.setdefault(lbit, [[], [], 0])
+                slot[0].append((rbit, a))
+            elif isinstance(a, ConjSub):
+                b1, b2 = 1 << bit_of[a.lhs1], 1 << bit_of[a.lhs2]
+                conjs.append((b1 | b2, 1 << bit_of[a.rhs], a))
+                for low in {b1, b2}:
+                    slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
+                    slot[1].append(conjs[-1])
+            elif isinstance(a, ExLeft):
+                exlefts.append((a.role, 1 << bit_of[a.filler], 1 << bit_of[a.rhs], a))
+            else:
+                exrights.append(a)
+        self.subs, self.conjs, self.exlefts = tuple(subs), tuple(conjs), tuple(exlefts)
+        by_role, fillers_of = {}, {}
+        for role, fbit, rbit, a in exlefts:
             by_role.setdefault(role, []).append((fbit, rbit, a))
-        # Per existential head: (lbit, fbit, axiom, back, fwd), where `back`
-        # lists the existential bodies the new successor reads off its parent
-        # (over the inverse role) and `fwd` those the parent reads off it.
-        self.spawns = tuple(
-            (
-                1 << self.bit_of[a.lhs],
-                1 << self.bit_of[a.filler],
-                a,
-                tuple(by_role.get(a.role.invert(), ())),
-                tuple(by_role.get(a.role, ())),
+            fillers_of[role] = fillers_of.get(role, 0) | fbit
+        by_role = {role: tuple(v) for role, v in by_role.items()}
+        # Per existential head: (lbit, fbit, axiom, back, fwd, fwd_mask),
+        # where `back` lists the existential bodies the new successor reads
+        # off its parent (over the inverse role), `fwd` those the parent
+        # reads off it and `fwd_mask` their fillers.  A spawn's body is its
+        # lhs plus every `back` filler (its seed).
+        spawns = []
+        for i, a in enumerate(exrights):
+            lbit, inv = 1 << bit_of[a.lhs], a.role.invert()
+            spawns.append(
+                (
+                    lbit,
+                    1 << bit_of[a.filler],
+                    a,
+                    by_role.get(inv, ()),
+                    by_role.get(a.role, ()),
+                    fillers_of.get(a.role, 0),
+                )
             )
-            for a in self.axioms
-            if isinstance(a, ExRight)
-        )
+            body = lbit | fillers_of.get(inv, 0)
+            while body:
+                low = body & -body
+                body ^= low
+                slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
+                slot[2] |= 1 << i
+        self.spawns = tuple(spawns)
+        self.triggers = triggers
+        self.body_mask = sum(triggers)
 
         rhs_index = {}
         for a in self.axioms:
@@ -380,6 +404,19 @@ class ParsedKb:
     abox: AboxGraph
     order: Optional[dict] = None  # name -> height level
     order_levels: Optional[tuple] = None  # tuple of tuples, low to high
+
+    def role_names(self) -> frozenset:
+        """The role names the TBox or the ABox uses."""
+        names = {role.name for role, _, _ in self.abox.role_asserts()}
+        stack = [c for g in self.gcis for c in (g.lhs, g.rhs)]
+        while stack:
+            c = stack.pop()
+            if isinstance(c, And):
+                stack += (c.lhs, c.rhs)
+            elif isinstance(c, Exists):
+                names.add(c.role.name)
+                stack.append(c.filler)
+        return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,17 @@ calls it:
   successors (whose final types come from a ``TypeCloser``), and pushes
   existential bodies across asserted role edges.
 
+The kernel looks a rule up only when a bit its body reads is new, through
+the trigger index every ``TBox`` builds with its rule views (as ELK does):
+per bit, the subs, the conjs and the existential heads ("spawns") whose lhs
+or successor seed reads it.  A call is told which bits of the type are new;
+by default all are.  The callers then re-run semi-naively: a ``TypeCloser``
+worklist re-run or a staged round starts from a type already closed under
+sub and conj, passes no new bits, and so only re-evaluates the spawns,
+whose successor types may have grown; ``saturate_abox`` passes only the
+bits pushed across edges since the individual was last closed, and pushes
+only the existential bodies whose filler is new at the individual.
+
 Both record, for every derived fact, the rule application that first produced
 it, so a full derivation (a replayable sequence of single rule applications)
 can be reconstructed for any entailed query over a consistent KB.  Inside the
@@ -60,7 +71,7 @@ def _bits(mask: int):
         yield low
 
 
-def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None) -> int:
+def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None, _new=None) -> int:
     """Close one node's type `cur` under the sub, conj and existential rules.
 
     `child_of(seed)` gives the type of the anonymous successor an existential
@@ -69,25 +80,51 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None) ->
     application adding each bit is recorded there; anonymous ones carry
     `stage`, the round whose successor types `child_of` returns (None for
     final types).
+
+    Rules are found through ``tbox.triggers``: a rule is looked at only when
+    a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
+    have not been looked at yet; by default every bit is new.  A spawn is
+    queued by its trigger bits and evaluated once after sub and conj
+    propagation has settled.  `_new=0` says that `cur` is closed under sub
+    and conj but the successor types `child_of` returns may have grown since
+    it was: every spawn whose lhs holds is evaluated again.
     """
-    changed = True
-    while changed:
-        changed = False
-        for lbit, rbit, ax in tbox.subs:
-            if cur & lbit and not cur & rbit:
-                cur |= rbit
-                if justs is not None:
-                    justs[rbit] = ("sub", ax)
-                changed = True
-        for lmask, rbit, ax in tbox.conjs:
-            if cur & lmask == lmask and not cur & rbit:
-                cur |= rbit
-                if justs is not None:
-                    justs[rbit] = ("conj", ax)
-                changed = True
-        if child_of is None:
-            continue
-        for lbit, fbit, exr, back, fwd in tbox.spawns:
+    triggers, body, spawns = tbox.triggers, tbox.body_mask, tbox.spawns
+    pending = queued = 0
+    if not cur & _BOT_BIT:
+        if _new is None:
+            pending = cur & body
+        elif _new:
+            pending = _new & body
+        elif child_of is not None:
+            for i, sp in enumerate(spawns):
+                if cur & sp[0]:
+                    queued |= 1 << i
+    while True:
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            subs, conjs, smask = triggers[low]
+            queued |= smask
+            for rbit, ax in subs:
+                if not cur & rbit:
+                    cur |= rbit
+                    pending |= rbit & body
+                    if justs is not None:
+                        justs[rbit] = ("sub", ax)
+            for lmask, rbit, ax in conjs:
+                if cur & lmask == lmask and not cur & rbit:
+                    cur |= rbit
+                    pending |= rbit & body
+                    if justs is not None:
+                        justs[rbit] = ("conj", ax)
+        if child_of is None or not queued:
+            break
+        todo, queued = queued, 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            lbit, fbit, exr, back, fwd, fwd_mask = spawns[low.bit_length() - 1]
             if not cur & lbit:
                 continue
             parent = cur
@@ -100,13 +137,16 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None) ->
                 cur |= _BOT_BIT
                 if justs is not None:
                     justs[_BOT_BIT] = ("anon_bot", exr, _seed_pairs(back, parent), seed, stage)
-                changed = True
+            if not child & fwd_mask:
+                continue
             for f2, r2, exl in fwd:
                 if child & f2 and not cur & r2:
                     cur |= r2
+                    pending |= r2 & body
                     if justs is not None:
                         justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed, stage)
-                    changed = True
+        if not pending:
+            break
     if cur & _BOT_BIT:
         if justs is not None:
             for bit in _bits(flood & ~cur):
@@ -144,7 +184,8 @@ class TypeCloser:
         if got is not None:
             return got
         self._vals[mask] = _fire(self.tbox, mask, None, self.flood_mask)
-        self._run_worklist([mask])
+        if self.tbox.spawns:  # else no context has successors to read
+            self._run_worklist([mask])
         return self._vals[mask]
 
     # -- fixpoint ---------------------------------------------------------
@@ -167,7 +208,7 @@ class TypeCloser:
             m = queue.popleft()
             queued.discard(m)
             before = self._vals[m]
-            after = _fire(tbox, before, lambda seed, m=m: dep(seed, m), flood)
+            after = _fire(tbox, before, lambda seed, m=m: dep(seed, m), flood, _new=0)
             for s in fresh:
                 if s not in queued:
                     queue.append(s)
@@ -195,18 +236,19 @@ class TypeCloser:
             return got
         justs = None
         if k == 0:
-            cur, child_of = mask, None
+            cur, child_of, new = mask, None, None
             if build_justs:
                 justs = {bit: ("seed",) for bit in _bits(mask)}
         else:
-            cur = self._stage_val(mask, k - 1, build_justs)
+            # round k-1's type is closed under sub and conj already
+            cur, new = self._stage_val(mask, k - 1, build_justs), 0
             if build_justs:
                 justs = dict(self._stage_justs[(mask, k - 1)])
 
             def child_of(seed):
                 return self._stage_val(seed, k - 1, build_justs)
 
-        cur = _fire(self.tbox, cur, child_of, self.flood_mask, justs, k - 1)
+        cur = _fire(self.tbox, cur, child_of, self.flood_mask, justs, k - 1, new)
         self._stage_vals[key] = cur
         if build_justs:
             self._stage_justs[key] = justs
@@ -273,31 +315,50 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
                 justs[a][1 << bit] = ("init",)
         labels[a] = m
 
+    # `exists r . F <= B` holds at every r-neighbour of an F individual,
+    # i.e. at its inverse-r neighbours
+    pushes, by_filler = [], {}  # by_filler: filler bit -> positions in `pushes`
+    for i, (role, fbit, rbit, exl) in enumerate(tbox.exlefts):
+        pushes.append((role.invert(), rbit, exl))
+        by_filler[fbit] = by_filler.get(fbit, 0) | 1 << i
+    fillers = sum(by_filler)
     queue = deque(abox.individuals)
     queued = set(queue)
+    # Semi-naive: per individual, the bits pushed to it since its label was
+    # last closed (a label never closed counts as all new), and the label
+    # its own pushes were last made from.
+    new_bits = dict(labels)
+    pushed_from = dict.fromkeys(abox.individuals, 0)
     inconsistent = False
     bot_at = None
 
     while queue:
         a = queue.popleft()
         queued.discard(a)
-        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a])
+        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a], None, new_bits[a])
+        new_bits[a] = 0
         if cur & _BOT_BIT and not inconsistent:
             inconsistent = True
             bot_at = a
-        # push existential bodies across asserted edges
-        for role, fbit, rbit, exl in tbox.exlefts:
-            if cur & fbit:
-                for nb in abox.neighbors(a, role.invert()):
-                    if not labels[nb] & rbit:
-                        labels[nb] |= rbit
-                        justs[nb][rbit] = ("edge", exl, a)
-                        if rbit == _BOT_BIT and not inconsistent:
-                            inconsistent = True
-                            bot_at = nb
-                        if nb not in queued:
-                            queue.append(nb)
-                            queued.add(nb)
+        # push existential bodies with a filler new at `a` across asserted
+        # edges; older fillers were pushed already, and labels only grow
+        todo = 0
+        for fbit in _bits(cur & ~pushed_from[a] & fillers):
+            todo |= by_filler[fbit]
+        pushed_from[a] = cur
+        for low in _bits(todo):
+            inv, rbit, exl = pushes[low.bit_length() - 1]
+            for nb in abox.neighbors(a, inv):
+                if not labels[nb] & rbit:
+                    labels[nb] |= rbit
+                    new_bits[nb] |= rbit
+                    justs[nb][rbit] = ("edge", exl, a)
+                    if rbit == _BOT_BIT and not inconsistent:
+                        inconsistent = True
+                        bot_at = nb
+                    if nb not in queued:
+                        queue.append(nb)
+                        queued.add(nb)
     return SatResult(tbox, abox, labels, inconsistent, bot_at, justs)
 
 

@@ -70,7 +70,6 @@ class AtLeastOne:
 @dataclass
 class ForcedConstraints:
     edges: frozenset  # ordered (lo, hi) pairs over concept names and role vertices
-    edge_axioms: dict  # (lo, hi) -> witnessing axiom (first one seen)
     strict: tuple  # MustStrict / AtLeastOne, in axiom order
     notes: tuple = ()
 
@@ -88,7 +87,6 @@ class Violation:
 @dataclass
 class StratResult:
     accepted: bool
-    scc_of: Dict[str, int]
     height: Dict[str, int]
     violations: List[Violation]
     notes: Tuple[str, ...] = ()
@@ -155,7 +153,7 @@ def _pinned(clause) -> bool:
 
 def forced_constraints(tbox: TBox) -> ForcedConstraints:
     """The order constraints every admissible preorder must contain."""
-    edges = {}
+    edges = set()
     strict = []
     notes = set()
     for ax in tbox.axioms:
@@ -167,12 +165,10 @@ def forced_constraints(tbox: TBox) -> ForcedConstraints:
                 x1, x2 = lo
                 strict.append(AtLeastOne((x1, hi), (x2, hi), ax))
                 continue
-            edges.setdefault((lo, hi), ax)
+            edges.add((lo, hi))
             if kind == "lt":
                 strict.append(MustStrict(lo, hi, ax))
-    return ForcedConstraints(
-        frozenset(edges), edges, tuple(strict), tuple(sorted(notes))
-    )
+    return ForcedConstraints(frozenset(edges), tuple(strict), tuple(sorted(notes)))
 
 
 def _sccs(vertices, succ):
@@ -319,7 +315,7 @@ def check_stratification(tbox: TBox) -> StratResult:
                     level[j] = hi
     heights = {v: level[scc_of[v]] for v in vertices}
     accepted = not violations
-    return StratResult(accepted, scc_of, heights, violations, fc.notes)
+    return StratResult(accepted, heights, violations, fc.notes)
 
 
 class NotStratifiedError(KbError):
@@ -408,8 +404,7 @@ def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
     ``restrict(T, h, -1)`` is the empty TBox.  The result shares the parent's
     concept-bit indexing so masks stay comparable across levels.
     """
-    axioms = [ax for ax in tbox.axioms if axiom_level(ax, heights) <= n]
-    return TBox(axioms, share_index_with=tbox)
+    return LevelMap(tbox, heights).tbox_at(n)
 
 
 class LevelMap:
@@ -425,9 +420,9 @@ class LevelMap:
     def __init__(self, tbox: TBox, heights: Dict[str, int]):
         self.tbox = tbox
         self.heights = heights
-        self.max_level = 0
-        for ax in tbox.axioms:
-            self.max_level = max(self.max_level, axiom_level(ax, heights))
+        # the level of each of tbox.axioms, computed once for every view
+        self._axiom_levels = tuple(axiom_level(ax, heights) for ax in tbox.axioms)
+        self.max_level = max(self._axiom_levels, default=0)
         self._tbox_at = {}
         self._con_mask = {}
         self._closers: Dict[int, TypeCloser] = {}
@@ -443,10 +438,13 @@ class LevelMap:
         return self.heights.get(name, 0)
 
     def tbox_at(self, n: int) -> TBox:
+        """T|n, the axioms of level at most n (see ``restrict``)."""
         n = min(n, self.max_level)
-        if n not in self._tbox_at:
-            self._tbox_at[n] = restrict(self.tbox, self.heights, n)
-        return self._tbox_at[n]
+        got = self._tbox_at.get(n)
+        if got is None:
+            axioms = [ax for ax, lv in zip(self.tbox.axioms, self._axiom_levels) if lv <= n]
+            got = self._tbox_at[n] = TBox(axioms, share_index_with=self.tbox)
+        return got
 
     def con_mask(self, n: int) -> int:
         """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present."""
@@ -545,7 +543,7 @@ class LevelMap:
                 edge(lmask, rbit)
             for _, fbit, rbit, _ in t.exlefts:
                 edge(fbit, rbit)
-            for lbit, fbit, _, back, fwd in t.spawns:
+            for lbit, fbit, _, back, fwd, _ in t.spawns:
                 edge(lbit, fbit)
                 # the new successor is a role-neighbour of its parent, and
                 # the parent an inverse-role neighbour of the successor

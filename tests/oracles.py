@@ -1,7 +1,8 @@
 """Independent test oracles: a bounded naive chase, brute-force preorder
-search, and generators for arbitrary (not necessarily stratified)
-normal-form TBoxes.  These deliberately re-derive semantics from first
-principles rather than reusing the library's fixpoint machinery.
+search, generators for arbitrary (not necessarily stratified) normal-form
+TBoxes, and plain scanning versions of the library's fast paths.  These
+deliberately re-derive semantics from first principles rather than reusing
+the library's fixpoint machinery.
 """
 
 from __future__ import annotations
@@ -237,3 +238,38 @@ def saturate_per_node(tbox: TBox, abox: AboxGraph):
                             labels[nb] |= rbit
                             changed = True
     return labels
+
+
+def fire_scan(tbox: TBox, cur: int, child_of, flood: int) -> int:
+    """The rule kernel by rescanning: every sub, conj and spawn of the TBox
+    on each pass until a pass adds nothing.  `saturate._fire` must return
+    the same mask when `child_of` is monotone in the seed."""
+    changed = True
+    while changed:
+        changed = False
+        for lbit, rbit, _ in tbox.subs:
+            if cur & lbit and not cur & rbit:
+                cur |= rbit
+                changed = True
+        for lmask, rbit, _ in tbox.conjs:
+            if cur & lmask == lmask and not cur & rbit:
+                cur |= rbit
+                changed = True
+        if child_of is None:
+            continue
+        for lbit, fbit, _, back, fwd, _ in tbox.spawns:
+            if not cur & lbit:
+                continue
+            seed = 1 | fbit
+            for f2, r2, _ in back:
+                if cur & f2:
+                    seed |= r2
+            child = child_of(seed)
+            if child & 2 and not cur & 2:
+                cur |= 2
+                changed = True
+            for f2, r2, _ in fwd:
+                if child & f2 and not cur & r2:
+                    cur |= r2
+                    changed = True
+    return flood if cur & 2 else cur

@@ -99,6 +99,38 @@ def test_ask_unstratifiable_reports_rejection(tprime_file, capsys):
     assert "result: REJECTED" in capsys.readouterr().out
 
 
+ROLES_TEXT = """\
+tbox:
+A <= exists r . B
+abox:
+A(a)
+s(a, b)
+"""
+
+
+@pytest.mark.parametrize("role", ["r", "s"], ids=["tbox-role", "abox-role"])
+@pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
+def test_ask_on_a_role_name_is_a_usage_error(tmp_path, capsys, engine, role):
+    p = tmp_path / "roles.kb"
+    p.write_text(ROLES_TEXT, encoding="utf-8")
+    assert main(["ask", str(p), "--query", f"{role}(a)", "--engine", engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {role} is a role name, not a concept\n"
+    assert captured.out == ""
+    assert main(["ask", str(p), "--query", "A(a)", "--engine", engine]) == 0
+
+
+@pytest.mark.parametrize("role", ["r", "s"], ids=["tbox-role", "abox-role"])
+def test_oracle_on_a_role_name_is_a_usage_error(tmp_path, capsys, role):
+    p = tmp_path / "roles.kb"
+    p.write_text(ROLES_TEXT, encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", f"{role}(a)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {role} is a role name, not a concept\n"
+    assert captured.out == ""
+    assert main(["oracle", str(p), "--ask", "B(a)"]) == 1
+
+
 def test_oracle_trace(tex_file, capsys):
     assert main(["oracle", tex_file, "--ask", "D(a)", "--trace"]) == 0
     out = capsys.readouterr().out

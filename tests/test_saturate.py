@@ -18,13 +18,20 @@ from strata import (
     TypeCloser,
     check_stratification,
     oracle_entails,
+    random_stratified_kb,
     replay_derivation,
     restrict,
     saturate_abox,
     type_closure,
 )
+from strata.saturate import _fire
 
-from oracles import chase, random_abox, random_normal_tbox, saturate_per_node
+from oracles import chase, fire_scan, random_abox, random_normal_tbox, saturate_per_node
+
+FUZZ_CLASSES = pytest.mark.parametrize(
+    "limits", [(3, 2, 4, 6), (6, 3, 10, 12), (4, 2, 5, 14), (6, 3, 16, 10)],
+    ids=["tiny", "default", "dense", "wide"],
+)
 
 
 def test_type_closure_worked_example(tex):
@@ -74,6 +81,59 @@ def test_type_closure_grows_with_the_level(seed):
     low = type_closure(s, restrict(tbox, res.height, n))
     high = type_closure(s, restrict(tbox, res.height, n + 1))
     assert low <= high
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 1_000_000))
+def test_fire_matches_the_scanning_kernel(seed):
+    rng = Random(seed)
+    tbox = random_normal_tbox(rng, max_concepts=5, max_roles=2, max_gcis=10)
+    bits = [1 << b for b in sorted(tbox.bit_of.values())]  # Top and Bot included
+    flood = tbox.signature_mask | 3
+
+    def some(p):
+        return sum(b for b in bits if b != 2 and rng.random() < p) | (
+            2 if rng.random() < 0.05 else 0
+        )
+
+    # a successor type is its seed plus a fixed mask per seed bit, so the
+    # table is monotone in the seed, as every closure the callers pass is
+    extra = {b: some(0.25) for b in bits}
+
+    def child_of(seed):
+        out = seed
+        for b in bits:
+            if seed & b:
+                out |= extra[b]
+        return out
+
+    start = 1 | some(0.3)
+    for table in (None, child_of):
+        assert _fire(tbox, start, table, flood) == fire_scan(tbox, start, table, flood)
+        # a type closed except for the new bits
+        new = some(0.3)
+        cur = fire_scan(tbox, start, table, flood) | new
+        assert _fire(tbox, cur, table, flood, _new=new) == fire_scan(tbox, cur, table, flood)
+    # closed under sub and conj, with successor types not yet read
+    cur = fire_scan(tbox, start, None, flood)
+    assert _fire(tbox, cur, child_of, flood, _new=0) == fire_scan(tbox, cur, child_of, flood)
+
+
+@FUZZ_CLASSES
+@settings(max_examples=40)
+@given(st.integers(0, 1_000_000))
+def test_saturation_matches_the_per_node_path_and_its_traces_replay(limits, seed):
+    tbox, abox = random_stratified_kb(Random(seed), *limits)
+    closer = TypeCloser(tbox)
+    sat = saturate_abox(tbox, abox, closer)
+    assert sat.labels == saturate_per_node(tbox, abox)
+    if sat.inconsistent:
+        return
+    for a in abox.individuals:
+        for c in tbox.concept_names:
+            ans, trace = oracle_entails(tbox, abox, c, a, want_trace=True, sat=sat, closer=closer)
+            if ans:
+                assert replay_derivation(tbox, abox, trace, c, a)
 
 
 def test_saturate_worked_example(tex):
