@@ -15,11 +15,12 @@ import time
 from strata import KbError, run_fuzz
 
 SIZE_CLASSES = [
-    # (label, concepts, roles, individuals, gcis)
-    ("tiny", 3, 2, 4, 6),
-    ("default", 6, 3, 10, 12),
-    ("dense", 4, 2, 5, 14),
-    ("wide", 6, 3, 16, 10),
+    # (label, concepts, roles, individuals, gcis, drawn heights up to)
+    ("tiny", 3, 2, 4, 6, 3),
+    ("default", 6, 3, 10, 12, 3),
+    ("dense", 4, 2, 5, 14, 3),
+    ("wide", 6, 3, 16, 10, 3),
+    ("tall", 16, 3, 10, 24, 8),
 ]
 
 
@@ -32,7 +33,7 @@ def main(argv=None):
 
     print(f"{'class':>10} {'cases':>7} {'queries':>9} {'witnesses':>10} {'bad':>4} {'secs':>7}")
     worst = 0
-    for label, ncon, nrol, ninds, ngcis in SIZE_CLASSES:
+    for label, ncon, nrol, ninds, ngcis, height in SIZE_CLASSES:
         t0 = time.perf_counter()
         try:
             rep = run_fuzz(
@@ -45,6 +46,7 @@ def main(argv=None):
                 max_roles=nrol,
                 max_individuals=ninds,
                 max_gcis=ngcis,
+                max_height=height,
             )
         except KbError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ from .kb import (
     normalize,
 )
 from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
-from .saturate import SatResult, TypeCloser, oracle_entails, saturate_abox
+from .saturate import SatResult, oracle_entails, saturate_abox
 from .stratify import LevelMap, NotStratifiedError, heights_for  # noqa: F401 (re-export)
 
 _TOP_BIT = 1
@@ -100,7 +100,6 @@ class Evaluator:
         self.heights = heights
         self.levels = LevelMap(tbox, heights)
         self._sat: Optional[SatResult] = None
-        self._sat_closer: Optional[TypeCloser] = None
         self._assert_mask: Dict[str, int] = {}
         self._label: Dict[Tuple[str, int], int] = {}
         self._memo_collapsed: Dict[Tuple[str, str], bool] = {}
@@ -114,9 +113,9 @@ class Evaluator:
     # -- shared plumbing ----------------------------------------------------
 
     def saturation(self) -> SatResult:
+        # the whole-TBox closer every level reads its successor types from
         if self._sat is None:
-            self._sat_closer = TypeCloser(self.tbox)
-            self._sat = saturate_abox(self.tbox, self.abox, self._sat_closer)
+            self._sat = saturate_abox(self.tbox, self.abox, self.levels.closer)
         return self._sat
 
     def assert_mask(self, ind: str) -> int:
@@ -182,6 +181,7 @@ class Evaluator:
             return concept in self.abox.asserted[ind], None, (ind, concept)
         n = self.levels.height(concept) if level is None else level
         neighbors = self.abox.neighbors
+        by_rhs = self.levels.rules_at(n).by_rhs
         swap_mask = self.levels.swap_mask
         bitname = self._bitname
         start = (ind, concept)
@@ -196,7 +196,7 @@ class Evaluator:
             if goal == TOP or (bit is not None and lab & bit) or lab & _BOT_BIT:
                 return True, parents, node
             succ = []
-            for ax in self.levels.tbox_at(n).by_rhs(goal):
+            for ax in by_rhs(goal):
                 if isinstance(ax, Sub):
                     succ.append(((x, ax.lhs), ("sbus", ax)))
                 elif isinstance(ax, ExLeft):
@@ -317,7 +317,7 @@ class Evaluator:
             ind,
             want_trace=want_trace,
             sat=sat,
-            closer=self._sat_closer,
+            closer=self.levels.closer,
         )
 
     def oracle_inconsistent(self) -> bool:
@@ -366,7 +366,10 @@ def entails_iq(
 
     `engine` is one of collapsed/naive/oracle; `consistency` is oracle (the
     default), automaton (experimental), or none.  A user `order` (name ->
-    height) is verified instead of searching for one.
+    height) is verified instead of searching for one.  The diagnostics count,
+    under ``closure_contexts``, the type closure contexts the query created:
+    the whole-TBox ones its successor types and the pre-check share, plus
+    every level's roots (``LevelMap.closure_contexts``).
     """
     t0 = time.perf_counter()
     if isinstance(tbox_or_gcis, TBox):
@@ -395,6 +398,7 @@ def entails_iq(
         "level": ev.levels.height(concept),
     }
     if inconsistent:
+        diagnostics["closure_contexts"] = ev.levels.closure_contexts()
         diagnostics["elapsed"] = time.perf_counter() - t0
         return IqResult(True, None, True, heights, diagnostics)
 
@@ -414,6 +418,7 @@ def entails_iq(
         diagnostics["visited"] = 0
     else:
         raise KbError(f"unknown engine {engine!r}")
+    diagnostics["closure_contexts"] = ev.levels.closure_contexts()
     diagnostics["elapsed"] = time.perf_counter() - t0
     return IqResult(answer, witness, False, heights, diagnostics)
 

@@ -38,7 +38,9 @@ from .kb import (
 )
 from .stratify import check_stratification
 
-_CONCEPT_POOL = ("A", "B", "C", "D", "E", "F")
+# Names are drawn as a prefix of the pool, so a class with few names draws
+# the same KBs whatever the pool holds past that prefix.
+_CONCEPT_POOL = tuple("ABCDEFGHIJKLMNOP")
 _ROLE_POOL = ("r", "s", "t")
 
 
@@ -48,11 +50,18 @@ def random_stratified_kb(
     max_roles: int = 3,
     max_individuals: int = 10,
     max_gcis: int = 12,
+    max_height: int = 3,
 ) -> Tuple[TBox, AboxGraph]:
-    """A random normal-form TBox admitted by a random height map, plus an ABox."""
+    """A random normal-form TBox admitted by a random height map, plus an ABox.
+
+    Heights are drawn from 0..`max_height`, and at most `max_concepts` names
+    (up to 16) from the concept pool.
+    """
+    if not 1 <= max_concepts <= len(_CONCEPT_POOL):
+        raise KbError(f"max_concepts must lie between 1 and {len(_CONCEPT_POOL)}")
     names = list(_CONCEPT_POOL[: rng.randint(1, max_concepts)])
     roles = list(_ROLE_POOL[: rng.randint(1, max_roles)])
-    h = {v: rng.randint(0, 3) for v in names + roles}
+    h = {v: rng.randint(0, max_height) for v in names + roles}
 
     def pick_below(bound, pool, strict=False):
         ok = [v for v in pool if (h[v] < bound if strict else h[v] <= bound)]
@@ -214,11 +223,12 @@ def run_case(
     max_roles: int = 3,
     max_individuals: int = 10,
     max_gcis: int = 12,
+    max_height: int = 3,
 ):
     """One differential case; returns (query count, failures, witness count)."""
     rng = Random(case_seed)
     tbox, abox = random_stratified_kb(
-        rng, max_concepts, max_roles, max_individuals, max_gcis
+        rng, max_concepts, max_roles, max_individuals, max_gcis, max_height
     )
     failures = []
     witnesses = 0
@@ -287,6 +297,7 @@ def run_fuzz(
     max_roles: int = 3,
     max_individuals: int = 10,
     max_gcis: int = 12,
+    max_height: int = 3,
 ) -> FuzzReport:
     """Run `cases` differential cases; deterministic for a fixed seed.
 
@@ -298,7 +309,7 @@ def run_fuzz(
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise KbError(f"jobs must lie between 1 and the CPU count {cpus}, got {jobs}")
-    limits = (max_concepts, max_roles, max_individuals, max_gcis)
+    limits = (max_concepts, max_roles, max_individuals, max_gcis, max_height)
     work = [
         (i, _case_seed(seed, i), check_weak, validate_witnesses, limits)
         for i in range(cases)

@@ -129,12 +129,12 @@ class NestedNfa:
         self.level = level
         self.include_weak = family.include_weak
         self.tbox = family.tbox
-        self.level_tbox = family.levels.tbox_at(level)
+        self.level_rules = family.levels.rules_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
         # alphabet pieces
         cons = [TOP]
         cons += list(family.levels.concepts_at(level))
-        if self.level_tbox.bot_occurs:
+        if self.level_rules.bot_occurs:
             cons.append(BOT)
         self.con_names = tuple(cons)
         self.lower_names = family.levels.concepts_at(level - 1)
@@ -165,7 +165,7 @@ class NestedNfa:
                 out.append((TOP_TEST, AutState(premise - {c}, goal)))
         for b in self.con_names:
             out.append((ConceptTest(b), AutState(premise | {b}, goal)))
-        for ax in self.level_tbox.by_rhs(goal):
+        for ax in self.level_rules.by_rhs(goal):
             if isinstance(ax, Sub):
                 out.append((TOP_TEST, AutState(premise, ax.lhs)))
             elif isinstance(ax, ExLeft):
@@ -291,7 +291,7 @@ def _family_members(nfa: NestedNfa):
 
 def _alphabet_lines(nfa: NestedNfa):
     parts = [f"{c}?" for c in sorted(nfa.con_names)]
-    for r in sorted(nfa.level_tbox.role_names):
+    for r in sorted(nfa.level_rules.role_names):
         parts.append(r)
         parts.append(f"inv {r}")
     parts += [f"aut[{c}]?" for c in nfa.lower_names]

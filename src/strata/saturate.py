@@ -14,6 +14,14 @@ calls it:
   whenever a context it depends on grows.  Types are integer bit masks over
   the TBox concept signature.  When Bot enters a type, that type becomes the
   full signature (ex falso); global inconsistency is flagged separately.
+  A level's closer (``stratify.LevelMap.closer_at``) fires only that level's
+  rules at its roots and reads every anonymous successor's type from one
+  closer over the whole TBox.  Such a type is final, and when it is
+  Bot-free it agrees with the level's own type on every name the level's
+  rules read (the argument is in ``LevelMap``), so the root needs no
+  worklist.  A successor whose whole-TBox type holds Bot may owe that Bot
+  to a higher level's rule; only such successors get a context, and a
+  worklist, at the level itself.
 
 * ``saturate_abox`` runs the kernel over a whole ABox, treating each
   individual's current label as the parent premise of its anonymous
@@ -161,10 +169,20 @@ def _seed_pairs(back, parent: int) -> tuple:
 
 
 class TypeCloser:
-    """Entailed concepts of a single node, memoized per premise set."""
+    """Entailed concepts of a single node, memoized per premise set.
 
-    def __init__(self, tbox: TBox, extra_flood_mask: int = 0):
+    `tbox` is a ``TBox`` or a ``stratify.LevelRules`` view of one.  With a
+    `shared` closer, over a TBox that `tbox` is a level restriction of, a
+    successor seed takes its type from `shared` whenever that type is
+    Bot-free: it is then final, and agrees with this TBox's type on every
+    name a rule here reads (the argument is in ``stratify.LevelMap``).  Only
+    seeds whose shared type holds Bot become contexts here, since a rule
+    missing from `tbox` may be what derives that Bot.
+    """
+
+    def __init__(self, tbox: TBox, extra_flood_mask: int = 0, shared: "TypeCloser" = None):
         self.tbox = tbox
+        self.shared = shared
         self.flood_mask = tbox.signature_mask | _TOP_BIT | _BOT_BIT | extra_flood_mask
         self._vals: Dict[int, int] = {}
         self._rdeps: Dict[int, set] = {}
@@ -183,20 +201,46 @@ class TypeCloser:
         got = self._vals.get(mask)
         if got is not None:
             return got
-        self._vals[mask] = _fire(self.tbox, mask, None, self.flood_mask)
-        if self.tbox.spawns:  # else no context has successors to read
+        tbox, shared = self.tbox, self.shared
+        if shared is None or not tbox.spawns:
+            self._vals[mask] = _fire(tbox, mask, None, self.flood_mask)
+            if tbox.spawns:  # else no context has successors to read
+                self._run_worklist([mask])
+            return self._vals[mask]
+        # Final successor types make one kernel call final, unless some seed's
+        # shared type holds Bot: that seed reads as empty here, and the
+        # worklist then computes its type under this TBox's rules.
+        held = []
+
+        def child_of(seed):
+            got = shared.closure_mask(seed)
+            if got & _BOT_BIT:
+                held.append(seed)
+                return 0
+            return got
+
+        self._vals[mask] = _fire(tbox, mask, child_of, self.flood_mask)
+        if held:
             self._run_worklist([mask])
         return self._vals[mask]
+
+    def contexts(self) -> int:
+        """How many contexts (roots and successor seeds) have a type here."""
+        return len(self._vals)
 
     # -- fixpoint ---------------------------------------------------------
 
     def _run_worklist(self, roots):
-        tbox, flood = self.tbox, self.flood_mask
+        tbox, flood, shared = self.tbox, self.flood_mask, self.shared
         queue = deque(roots)
         queued = set(roots)
         fresh = []
 
         def dep(seed, user):
+            if shared is not None:
+                v = shared.closure_mask(seed)
+                if not v & _BOT_BIT:  # final: no context, no edge
+                    return v
             v = self._vals.get(seed)
             if v is None:
                 v = self._vals[seed] = _fire(tbox, seed, None, flood)

@@ -402,19 +402,113 @@ def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
     """The sub-TBox of axioms whose every name has height at most n.
 
     ``restrict(T, h, -1)`` is the empty TBox.  The result shares the parent's
-    concept-bit indexing so masks stay comparable across levels.
+    concept-bit indexing so masks stay comparable across levels.  This is the
+    paper's T|n as a TBox of its own; the evaluation paths read the same
+    axioms through ``LevelMap.rules_at`` instead.
     """
-    return LevelMap(tbox, heights).tbox_at(n)
+    axioms = [ax for ax in tbox.axioms if axiom_level(ax, heights) <= n]
+    return TBox(axioms, share_index_with=tbox)
+
+
+class LevelRules:
+    """T|n's rule views, filtered out of the whole TBox's compiled tuples.
+
+    It offers what the rule kernel, ``TypeCloser`` and the automata read off
+    a ``TBox`` (``triggers``, ``body_mask``, ``spawns``, ``signature_mask``,
+    ``bot_occurs``, ``role_names``, ``by_rhs``, ``mask_of``, ``names_of``),
+    equal to those of ``restrict(T, h, n)``, in the same order, without
+    building that TBox.  A spawn keeps only the existential bodies of T|n in
+    its ``back`` and ``fwd`` lists.
+    """
+
+    def __init__(self, tbox: TBox, level_of: Dict[NormGci, int], n: int):
+        def keep(ax):
+            return level_of[ax] <= n
+
+        self._tbox, self._keep = tbox, keep
+        self.mask_of, self.names_of = tbox.mask_of, tbox.names_of
+        sig = tbox.top_bit
+        roles = set()
+        triggers = {}
+        for low, (subs, conjs, _) in tbox.triggers.items():
+            subs = [x for x in subs if keep(x[1])]
+            conjs = [x for x in conjs if keep(x[2])]
+            if subs or conjs:
+                triggers[low] = [subs, conjs, 0]
+        for lbit, rbit, ax in tbox.subs:
+            if keep(ax):
+                sig |= lbit | rbit
+        for lmask, rbit, ax in tbox.conjs:
+            if keep(ax):
+                sig |= lmask | rbit
+        for role, fbit, rbit, ax in tbox.exlefts:
+            if keep(ax):
+                sig |= fbit | rbit
+                roles.add(role.name)
+        spawns = []
+        for lbit, fbit, ax, back, fwd, _ in tbox.spawns:
+            if not keep(ax):
+                continue
+            back = tuple(e for e in back if keep(e[2]))
+            fwd = tuple(e for e in fwd if keep(e[2]))
+            fwd_mask = body = 0
+            for f2, _, _ in fwd:
+                fwd_mask |= f2
+            for f2, _, _ in back:
+                body |= f2
+            body |= lbit
+            while body:
+                low = body & -body
+                body ^= low
+                slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
+                slot[2] |= 1 << len(spawns)
+            spawns.append((lbit, fbit, ax, back, fwd, fwd_mask))
+            sig |= lbit | fbit
+            roles.add(ax.role.name)
+        self.triggers = triggers
+        self.body_mask = sum(triggers)
+        self.spawns = tuple(spawns)
+        self.signature_mask = sig
+        self.bot_occurs = bool(sig & tbox.bot_bit)
+        self.role_names = tuple(sorted(roles))
+        self._rhs: Dict[str, tuple] = {}
+
+    def by_rhs(self, name: str):
+        """Axioms of T|n whose right-hand side is exactly `name`."""
+        got = self._rhs.get(name)
+        if got is None:
+            got = self._rhs[name] = tuple(filter(self._keep, self._tbox.by_rhs(name)))
+        return got
 
 
 class LevelMap:
-    """Per-level views of a stratified TBox: restrictions, concept masks,
+    """Per-level views of a stratified TBox: rule views, concept masks,
     type closers and the anon swap sets the automata share.
 
     ``con(T|n)`` is taken as the TBox concept names of height at most n
     (plus Top, plus Bot when Bot occurs at that level): a name of low height
     may occur only inside higher-level axioms, yet its tests must already be
     available to the low-level automata.
+
+    Every level's closure shares one ``TypeCloser`` over the whole TBox,
+    ``closer``, which the saturation pre-check fills too.  A level-n root
+    fires T|n's rules (``rules_at``) itself and takes each anonymous
+    successor's type from ``closer``.  That is exact when the shared type is
+    Bot-free.  Take a rule deriving a name X of con(T|n), X not Bot.  The
+    clauses of ``_clauses`` put the head of a sub, conj or existential body
+    at the top of its axiom, so the axiom lies in T|n and its body reads
+    names of con(T|n).  An existential body reads them across a role of
+    height at most n, and a spawn over such a role lies in T|n as well (its
+    role tops it).  By induction on the derivation, a name of con(T|n) at
+    the root, or at a successor a spawn of T|n creates, is derived by T|n's
+    rules alone, from such names.  So a Bot-free shared type, read on the
+    names T|n's rules read, is the successor's T|n type, and the names above
+    n that the whole TBox adds to its seed change nothing.  Bot breaks the
+    induction: a rule above n, say a spawn over a high role, can reach a low
+    ``F <= Bot``, and Bot floods the whole type.  So a seed whose shared
+    type holds Bot is closed under T|n's rules instead, as a context of the
+    level's own closer (``TypeCloser`` with ``shared``).  At the top level
+    T|n is the whole TBox, and ``closer`` serves it directly.
     """
 
     def __init__(self, tbox: TBox, heights: Dict[str, int]):
@@ -423,7 +517,9 @@ class LevelMap:
         # the level of each of tbox.axioms, computed once for every view
         self._axiom_levels = tuple(axiom_level(ax, heights) for ax in tbox.axioms)
         self.max_level = max(self._axiom_levels, default=0)
-        self._tbox_at = {}
+        self.closer = TypeCloser(tbox)
+        self._level_of: Optional[Dict[NormGci, int]] = None
+        self._rules: Dict[int, LevelRules] = {}
         self._con_mask = {}
         self._closers: Dict[int, TypeCloser] = {}
         self._swaps: Dict[Tuple[int, int, int], int] = {}
@@ -437,13 +533,17 @@ class LevelMap:
             return 0
         return self.heights.get(name, 0)
 
-    def tbox_at(self, n: int) -> TBox:
-        """T|n, the axioms of level at most n (see ``restrict``)."""
+    def rules_at(self, n: int):
+        """T|n's rule views (see ``LevelRules``), built on first use; at the
+        top level, the whole TBox."""
         n = min(n, self.max_level)
-        got = self._tbox_at.get(n)
+        if n == self.max_level:
+            return self.tbox
+        got = self._rules.get(n)
         if got is None:
-            axioms = [ax for ax, lv in zip(self.tbox.axioms, self._axiom_levels) if lv <= n]
-            got = self._tbox_at[n] = TBox(axioms, share_index_with=self.tbox)
+            if self._level_of is None:
+                self._level_of = dict(zip(self.tbox.axioms, self._axiom_levels))
+            got = self._rules[n] = LevelRules(self.tbox, self._level_of, n)
         return got
 
     def con_mask(self, n: int) -> int:
@@ -458,7 +558,7 @@ class LevelMap:
             for c in self._concepts_by_height:
                 if self.heights.get(c, 0) <= n:
                     mask |= 1 << self.tbox.bit_of[c]
-            if self.tbox_at(n).bot_occurs:
+            if self.rules_at(n).bot_occurs:
                 mask |= self.tbox.bot_bit
         self._con_mask[key] = mask
         return mask
@@ -468,14 +568,22 @@ class LevelMap:
         return tuple(c for c in self._concepts_by_height if self.heights.get(c, 0) <= n)
 
     def closer_at(self, n: int) -> TypeCloser:
-        """The TypeCloser of T|n; Bot floods a type to con(T|n)."""
+        """The closer of T|n, whose successor types come from ``closer``;
+        Bot floods a type to con(T|n)."""
         n = min(n, self.max_level)
+        if n == self.max_level:
+            return self.closer
         closer = self._closers.get(n)
         if closer is None:
             closer = self._closers[n] = TypeCloser(
-                self.tbox_at(n), extra_flood_mask=self.con_mask(n)
+                self.rules_at(n), extra_flood_mask=self.con_mask(n), shared=self.closer
             )
         return closer
+
+    def closure_contexts(self) -> int:
+        """Contexts the closers hold: the shared ones plus every level's
+        roots and Bot-holding seeds."""
+        return self.closer.contexts() + sum(c.contexts() for c in self._closers.values())
 
     def swap_mask(self, level: int, premise_mask: int, goal_bit: int) -> int:
         """The anon schema: bits B of con(T|level) whose addition to the

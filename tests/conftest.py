@@ -19,6 +19,20 @@ abox:
 A(a)
 """
 
+# Bot at level 0 that only a level-1 spawn reaches: a's successor B spawns an
+# s-successor F only once `B <= exists s . F` is in, so a is Bot-free at level 0
+LOW_BOT_TEXT = """\
+tbox:
+A <= exists r . B
+B <= exists s . F
+F <= Bot
+abox:
+A(a)
+order:
+A B F r
+s
+"""
+
 
 @pytest.fixture
 def tex():

@@ -21,6 +21,7 @@ from strata import (
     Sub,
     TBox,
     TypeCloser,
+    restrict,
 )
 
 
@@ -197,6 +198,15 @@ def random_abox(rng: Random, names, roles, max_individuals: int = 4) -> AboxGrap
             (Role(rng.choice(roles), rng.random() < 0.3), rng.choice(inds), rng.choice(inds))
         )
     return AboxGraph(concept_asserts, role_asserts, inds)
+
+
+def level_closer(levels, n: int) -> TypeCloser:
+    """The closer of T|n built the direct way: a ``TypeCloser`` of its own
+    over ``restrict(T, h, n)``, in which Bot floods a type to con(T|n)."""
+    n = min(n, levels.max_level)
+    return TypeCloser(
+        restrict(levels.tbox, levels.heights, n), extra_flood_mask=levels.con_mask(n)
+    )
 
 
 def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from strata.cli import main
 
-from conftest import TEX_TEXT
+from conftest import LOW_BOT_TEXT, TEX_TEXT
 
 TPRIME_TEXT = """\
 tbox:
@@ -74,6 +74,13 @@ def test_ask_false_answer(tmp_path, capsys):
     p.write_text("tbox:\nA <= B\nabox:\nB(a)\n", encoding="utf-8")
     assert main(["ask", str(p), "--query", "A(a)"]) == 1
     assert "answer: false" in capsys.readouterr().out
+
+
+def test_ask_keeps_a_low_level_free_of_a_higher_level_bot(tmp_path, capsys):
+    p = tmp_path / "lowbot.kb"
+    p.write_text(LOW_BOT_TEXT, encoding="utf-8")
+    assert main(["ask", str(p), "--query", "F(a)", "--consistency", "none"]) == 1
+    assert "answer: false" in capsys.readouterr().out.splitlines()
 
 
 def test_ask_engines_and_witness(tex_file, capsys):

@@ -15,7 +15,6 @@ from strata import (
     Role,
     RoleStep,
     TBox,
-    TypeCloser,
     build_automaton,
     check_stratification,
     entails_iq,
@@ -27,8 +26,8 @@ from strata import (
     validate_witness,
 )
 
-from conftest import TEX_TEXT
-from oracles import swap_mask_scan
+from conftest import LOW_BOT_TEXT, TEX_TEXT
+from oracles import level_closer, swap_mask_scan
 
 
 def _reach():
@@ -99,6 +98,19 @@ def test_pipeline_worked_example():
     res = entails_iq(kb.gcis, kb.abox, "D", "a")
     assert res.answer and not res.inconsistent
     assert res.diagnostics["engine"] == "collapsed"
+
+
+def test_pipeline_counts_closure_contexts():
+    kb = parse_kb(TEX_TEXT)
+    # the pre-check's successor {Top}, the level-1 root {A, B}, the level-0
+    # root {A}
+    assert entails_iq(kb.gcis, kb.abox, "D", "a").diagnostics["closure_contexts"] == 3
+    kb = parse_kb(LOW_BOT_TEXT)
+    res = entails_iq(kb.gcis, kb.abox, "F", "a", consistency="none", order=kb.order)
+    assert not res.answer
+    # shared: {B} and {F}; level 0: the roots {A}, {A, B}, {A, F}, {A, Bot}
+    # and the seed {B}, whose shared type holds Bot
+    assert res.diagnostics["closure_contexts"] == 7
 
 
 def test_pipeline_rejects_unstratifiable_tbox():
@@ -197,7 +209,7 @@ def _assert_swaps_match_scan(levels, triples):
     for level, premise_mask, goal_bit in sorted(triples):
         n = min(level, levels.max_level)
         if n not in closers:
-            closers[n] = TypeCloser(levels.tbox_at(n), extra_flood_mask=levels.con_mask(n))
+            closers[n] = level_closer(levels, n)
         want = swap_mask_scan(closers[n], levels.con_mask(n), premise_mask, goal_bit)
         assert levels.swap_mask(level, premise_mask, goal_bit) == want, (
             level,

@@ -8,6 +8,7 @@ from strata import (
     BOT,
     TOP,
     And,
+    LevelMap,
     AtLeastOne,
     ConjSub,
     ExLeft,
@@ -19,16 +20,23 @@ from strata import (
     Role,
     Sub,
     TBox,
+    TypeCloser,
     check_stratification,
     forced_constraints,
+    heights_for,
     normalize,
+    parse_kb,
     random_dllite_tbox,
     random_stratified_kb,
     restrict,
+    saturate_abox,
     verify_preorder,
 )
 
+from conftest import LOW_BOT_TEXT
+
 from oracles import (
+    level_closer,
     bruteforce_min_heights,
     bruteforce_stratified,
     order_admits,
@@ -258,3 +266,59 @@ def test_restrict_shares_concept_bits(tex):
     tbox, _, heights = tex
     sub = restrict(tbox, heights, 0)
     assert sub.bit_of == tbox.bit_of
+
+
+# -- level views and level closures ---------------------------------------------
+
+FUZZ_CLASSES = pytest.mark.parametrize(
+    "limits",
+    [(3, 2, 4, 6, 3), (6, 3, 10, 12, 3), (4, 2, 5, 14, 3), (6, 3, 16, 10, 3), (16, 3, 10, 24, 8)],
+    ids=["tiny", "default", "dense", "wide", "tall"],
+)
+
+
+@FUZZ_CLASSES
+@settings(max_examples=30)
+@given(st.integers(0, 1_000_000))
+def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed):
+    tbox, _ = random_stratified_kb(Random(seed), *limits)
+    h = check_stratification(tbox).height
+    levels = LevelMap(tbox, h)
+    for n in range(-1, levels.max_level + 1):
+        got, want = levels.rules_at(n), restrict(tbox, h, n)
+        assert got.triggers == want.triggers
+        assert got.body_mask == want.body_mask
+        assert got.spawns == want.spawns
+        assert got.signature_mask == want.signature_mask
+        assert got.bot_occurs == want.bot_occurs
+        assert got.role_names == want.role_names
+        for name in (BOT, *tbox.concept_names):
+            assert got.by_rhs(name) == want.by_rhs(name)
+
+
+@FUZZ_CLASSES
+@settings(max_examples=30)
+@given(st.integers(0, 1_000_000))
+def test_level_closures_equal_those_of_the_restricted_tbox(limits, seed):
+    rng = Random(seed)
+    tbox, abox = random_stratified_kb(rng, *limits)
+    levels = LevelMap(tbox, check_stratification(tbox).height)
+    if rng.random() < 0.5:  # the shared closer filled first, as by the pre-check
+        saturate_abox(tbox, abox, levels.closer)
+    for n in range(levels.max_level + 1):
+        want = level_closer(levels, n)
+        con = levels.con_mask(n)
+        bits = [1 << b for b in range(con.bit_length()) if con >> b & 1]
+        for _ in range(8):
+            premise = 1 | sum(b for b in bits if rng.random() < 0.3)
+            got = levels.closer_at(n).closure_mask(premise)
+            assert got == want.closure_mask(premise), (n, premise)
+
+
+def test_level_closure_stays_free_of_a_bot_only_a_higher_level_reaches():
+    kb = parse_kb(LOW_BOT_TEXT)
+    tbox, _ = normalize(kb.gcis)
+    levels = LevelMap(tbox, heights_for(tbox, kb.order)[0])
+    assert levels.closer_at(0).closure({"A"}) == {"A", TOP}
+    # over the whole TBox, A's r-successor B spawns F, and Bot floods
+    assert TypeCloser(tbox).closure({"A"}) == tbox.con_names()
