@@ -4,7 +4,9 @@
 Each row generates `--cases` random stratified KBs of the given size class,
 answers every instance query with the collapsed engine, the faithful product
 search (with and without premise weakening), and the saturation oracle, and
-validates every witness.  Any disagreement is printed verbatim.
+validates every witness.  Odd-numbered cases run on the drawn height map as a
+user order; `top` is the highest level a query was evaluated at.  Any
+disagreement is printed verbatim.
 """
 
 import argparse
@@ -31,7 +33,10 @@ def main(argv=None):
     ap.add_argument("--jobs", type=int, default=min(2, os.cpu_count() or 1))
     args = ap.parse_args(argv)
 
-    print(f"{'class':>10} {'cases':>7} {'queries':>9} {'witnesses':>10} {'bad':>4} {'secs':>7}")
+    print(
+        f"{'class':>10} {'cases':>7} {'queries':>9} {'witnesses':>10} {'top':>4} "
+        f"{'bad':>4} {'secs':>7}"
+    )
     worst = 0
     for label, ncon, nrol, ninds, ngcis, height in SIZE_CLASSES:
         t0 = time.perf_counter()
@@ -54,7 +59,7 @@ def main(argv=None):
         dt = time.perf_counter() - t0
         print(
             f"{label:>10} {rep.cases:>7} {rep.queries:>9} {rep.witnesses_checked:>10} "
-            f"{len(rep.failures):>4} {dt:>7.2f}"
+            f"{rep.top_level:>4} {len(rep.failures):>4} {dt:>7.2f}"
         )
         for f in rep.failures[:2]:
             print(f"disagreement: case {f.case} query {f.concept}({f.ind}): {f.answers}")

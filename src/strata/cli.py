@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .evaluate import entails_iq
-from .kb import KbError, ParseError, normalize, parse_kb
+from .kb import BOT, TOP, KbError, ParseError, _is_name, normalize, parse_kb
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import build_automaton, export_automaton
 from .saturate import oracle_entails
@@ -39,15 +39,24 @@ def _write(path: Path, text: str):
         raise KbError(f"cannot write {path}: {exc.strerror}")
 
 
+def _concept_name(text: str, kb) -> str:
+    """`text` read as a concept of `kb` by the KB syntax: a spelling of Top
+    or Bot, or a name that is neither a keyword nor a role of `kb`."""
+    if text in ("Top", "top", "Bot", "bot"):
+        return TOP if text.lower() == "top" else BOT
+    if not _is_name(text):
+        raise KbError(f"{text!r} is not a concept name")
+    if text in kb.role_names():
+        raise KbError(f"{text} is a role name, not a concept")
+    return text
+
+
 def _parse_query(text: str, kb):
     """The (concept, individual) of a query `C(a)` over `kb`."""
     m = _QUERY_RE.match(text.strip())
     if not m:
         raise KbError(f"queries look like C(a), got {text!r}")
-    concept, ind = m.group(1), m.group(2)
-    if concept in kb.role_names():
-        raise KbError(f"{concept} is a role name, not a concept")
-    return concept, ind
+    return _concept_name(m.group(1), kb), m.group(2)
 
 
 def _print_heights(heights):
@@ -73,7 +82,8 @@ def _cmd_rewrite(args) -> int:
     kb = _load(args.kb)
     tbox, _ = normalize(kb.gcis)
     heights, _ = heights_for(tbox, kb.order)
-    nfa = build_automaton(tbox, heights, args.for_concept, include_weak=args.include_weak)
+    concept = _concept_name(args.for_concept, kb)
+    nfa = build_automaton(tbox, heights, concept, include_weak=args.include_weak)
     if args.dot:
         _write(Path(args.dot), export_automaton(nfa, "dot"))
     sys.stdout.write(export_automaton(nfa, "text"))

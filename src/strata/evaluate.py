@@ -14,8 +14,11 @@ Three engines answer "does the KB entail C(a)?":
                   acceptance condition are monotone in the premise, and at a
                   fixed individual the premise can only ever accumulate the
                   concepts testable there; so states collapse to (individual,
-                  goal) pairs with the premise pinned to that label.  Labels
-                  are computed bottom-up per height level and memoized.
+                  goal) pairs with the premise pinned to that label.  The
+                  engine reads the automaton's goal moves from
+                  ``LevelMap.goal_moves``, where they are written once.
+                  Labels are computed bottom-up per height level and
+                  memoized.
 * ``oracle``:    saturation (see saturate module).
 
 ``entails_iq`` wires the full pipeline: normalize, stratify (or verify a
@@ -43,10 +46,7 @@ from .kb import (
     BOT,
     TOP,
     AboxGraph,
-    ConjSub,
-    ExLeft,
     KbError,
-    Sub,
     TBox,
     normalize,
 )
@@ -106,7 +106,6 @@ class Evaluator:
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
         self._families: Dict[bool, _Family] = {}
         self._lower_bits: Dict[int, tuple] = {}
-        self._bitname = {1 << pos: name for name, pos in tbox.bit_of.items()}
         self.naive_visited = 0
         self.collapsed_visited = 0
 
@@ -133,10 +132,6 @@ class Evaluator:
     def _require_ind(self, ind: str):
         if ind not in self.abox.asserted:
             raise KbError(f"unknown individual {ind!r}")
-
-    def _goal_bit(self, concept: str) -> Optional[int]:
-        b = self.tbox.bit_of.get(concept)
-        return None if b is None else 1 << b
 
     def _lower_concept_bits(self, n: int):
         """(name, bit) pairs for concepts of height < n, lowest first."""
@@ -176,14 +171,13 @@ class Evaluator:
         """BFS over (individual, goal) nodes; returns (answer, parents, hit)."""
         if concept == TOP:
             return True, None, (ind, TOP)
-        gbit = self._goal_bit(concept)
-        if gbit is None:  # no axiom mentions it: only its own assertion helps
+        if concept not in self.tbox.bit_of:  # only its own assertion helps
             return concept in self.abox.asserted[ind], None, (ind, concept)
         n = self.levels.height(concept) if level is None else level
         neighbors = self.abox.neighbors
-        by_rhs = self.levels.rules_at(n).by_rhs
-        swap_mask = self.levels.swap_mask
-        bitname = self._bitname
+        goal_moves = self.levels.goal_moves
+        name_of = self.levels.name_of
+        bit_of = self.tbox.bit_of
         start = (ind, concept)
         parents = {start: None}
         queue = deque([start])
@@ -192,32 +186,21 @@ class Evaluator:
             self.collapsed_visited += 1
             x, goal = node
             lab = self.label_mask(x, n)
-            bit = self._goal_bit(goal)
-            if goal == TOP or (bit is not None and lab & bit) or lab & _BOT_BIT:
+            bit = 1 << bit_of[goal]
+            if lab & (bit | _BOT_BIT):
                 return True, parents, node
+            steps, swaps = goal_moves(n, lab, bit)
             succ = []
-            for ax in by_rhs(goal):
-                if isinstance(ax, Sub):
-                    succ.append(((x, ax.lhs), ("sbus", ax)))
-                elif isinstance(ax, ExLeft):
-                    for y in neighbors(x, ax.role):
-                        succ.append(((y, ax.filler), ("succ", ax)))
-                elif isinstance(ax, ConjSub):
-                    b1 = self._goal_bit(ax.lhs1)
-                    b2 = self._goal_bit(ax.lhs2)
-                    if b1 and lab & b1:
-                        succ.append(((x, ax.lhs2), ("noc", ax)))
-                    if b2 and lab & b2:
-                        succ.append(((x, ax.lhs1), ("noc", ax)))
-            if bit is not None:
-                swaps = swap_mask(n, lab, bit)
-                while swaps:
-                    low = swaps & -swaps
-                    swaps ^= low
-                    succ.append(((x, bitname[low]), ("anon", None)))
-            for node2, how in succ:
+            for role, name in steps:
+                for y in (x,) if role is None else neighbors(x, role):
+                    succ.append(((y, name), role))
+            while swaps:
+                low = swaps & -swaps
+                swaps ^= low
+                succ.append(((x, name_of[low]), None))
+            for node2, role in succ:
                 if node2 not in parents:
-                    parents[node2] = (node, how)
+                    parents[node2] = (node, role)
                     queue.append(node2)
         return False, parents, None
 
@@ -234,8 +217,8 @@ class Evaluator:
         if parents is None:
             return (_assertion_witness(concept, ind),)
         steps = []
-        for prev, cur, (kind, ax) in _path(parents, hit):
-            sym = RoleStep(ax.role) if kind == "succ" else TOP_TEST
+        for prev, cur, role in _path(parents, hit):
+            sym = TOP_TEST if role is None else RoleStep(role)
             steps.append(RunStep(prev[0], state(prev), sym, state(cur), cur[0]))
         if not steps:
             st = state(hit)

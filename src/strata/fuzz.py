@@ -2,12 +2,13 @@
 
 The generator draws a random height map first and only emits axioms the map
 admits, so every generated TBox is stratified by construction (the checker
-re-verifies it as a free cross-check).  The harness then runs every
-(concept, individual) instance query through the collapsed engine, the
-faithful product search (optionally with and without premise weakening), and
-the saturation oracle, all behind the same consistency pre-check, and
-reports any disagreement with a reproducible case seed and the offending KB
-verbatim.
+and ``verify_preorder`` re-verify both as a free cross-check).  Odd-numbered
+cases run on the drawn map as a user order, even ones on the minimal heights.
+The harness then runs every (concept, individual) instance query through the
+collapsed engine, the faithful product search (optionally with and without
+premise weakening), and the saturation oracle, all behind the same
+consistency pre-check, and reports any disagreement with a reproducible case
+seed and the offending KB verbatim.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from random import Random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .evaluate import Evaluator, validate_witness
 from .kb import (
@@ -36,7 +37,7 @@ from .kb import (
     format_kb,
     kb_from_normal,
 )
-from .stratify import check_stratification
+from .stratify import check_stratification, verify_preorder
 
 # Names are drawn as a prefix of the pool, so a class with few names draws
 # the same KBs whatever the pool holds past that prefix.
@@ -51,11 +52,13 @@ def random_stratified_kb(
     max_individuals: int = 10,
     max_gcis: int = 12,
     max_height: int = 3,
-) -> Tuple[TBox, AboxGraph]:
-    """A random normal-form TBox admitted by a random height map, plus an ABox.
+) -> Tuple[TBox, AboxGraph, Dict[str, int]]:
+    """A random normal-form TBox admitted by a random height map, an ABox,
+    and that map.
 
     Heights are drawn from 0..`max_height`, and at most `max_concepts` names
-    (up to 16) from the concept pool.
+    (up to 16) from the concept pool.  The map covers every drawn concept
+    and role name, including those no axiom uses.
     """
     if not 1 <= max_concepts <= len(_CONCEPT_POOL):
         raise KbError(f"max_concepts must lie between 1 and {len(_CONCEPT_POOL)}")
@@ -163,7 +166,7 @@ def random_stratified_kb(
             )
         )
     abox = AboxGraph(concept_asserts, role_asserts, inds)
-    return tbox, abox
+    return tbox, abox, h
 
 
 def random_dllite_tbox(rng: Random, max_names: int = 10):
@@ -204,6 +207,7 @@ class FuzzReport:
     queries: int
     failures: List[FuzzFailure]
     witnesses_checked: int = 0
+    top_level: int = -1  # the highest level a query was evaluated at
 
     @property
     def ok(self) -> bool:
@@ -225,24 +229,37 @@ def run_case(
     max_gcis: int = 12,
     max_height: int = 3,
 ):
-    """One differential case; returns (query count, failures, witness count)."""
+    """One differential case; returns (query count, failures, witness count,
+    highest level evaluated).  An odd `case` runs on the drawn height map,
+    which reaches levels the minimal heights never do."""
     rng = Random(case_seed)
-    tbox, abox = random_stratified_kb(
+    tbox, abox, drawn = random_stratified_kb(
         rng, max_concepts, max_roles, max_individuals, max_gcis, max_height
     )
+    order = None
+    if case % 2:
+        order = {v: drawn[v] for v in (*tbox.concept_names, *tbox.role_names)}
     failures = []
     witnesses = 0
+    top = -1
 
     def kb_text():
-        return format_kb(kb_from_normal(tbox, abox))
+        heights = sorted(set(order.values())) if order else ()
+        levels = [[v for v in order if order[v] == k] for k in heights] or None
+        return format_kb(kb_from_normal(tbox, abox, levels))
+
+    def fail(concept, ind, answers):
+        failures.append(FuzzFailure(case, case_seed, concept, ind, answers, kb_text()))
 
     res = check_stratification(tbox)
     if not res.accepted:
-        failures.append(
-            FuzzFailure(case, case_seed, "-", "-", {"checker": "rejected"}, kb_text())
-        )
-        return 0, failures, witnesses
-    ev = Evaluator(tbox, abox, res.height)
+        fail("-", "-", {"checker": "rejected"})
+        return 0, failures, witnesses, top
+    violations = verify_preorder(tbox, drawn)
+    if violations:
+        fail("-", "-", {"order": violations[0].message})
+        return 0, failures, witnesses, top
+    ev = Evaluator(tbox, abox, res.height if order is None else order)
     inconsistent = ev.oracle_inconsistent()
     queries = 0
     oracle_check = lambda c, x: ev.oracle(c, x)[0]
@@ -251,6 +268,7 @@ def run_case(
             queries += 1
             if inconsistent:
                 continue  # the shared pre-check answers true for every engine
+            top = max(top, ev.levels.height(concept))
             answers = {
                 "collapsed": ev.collapsed(concept, ind),
                 "naive": ev.naive(concept, ind),
@@ -259,9 +277,7 @@ def run_case(
             if check_weak:
                 answers["naive_weak"] = ev.naive(concept, ind, include_weak=True)
             if len(set(answers.values())) != 1:
-                failures.append(
-                    FuzzFailure(case, case_seed, concept, ind, answers, kb_text())
-                )
+                fail(concept, ind, answers)
                 continue
             if validate_witnesses and answers["collapsed"]:
                 try:
@@ -272,19 +288,15 @@ def run_case(
                         ev.naive_witness(concept, ind), abox, ind, oracle_check
                     )
                 except KbError as exc:
-                    failures.append(
-                        FuzzFailure(
-                            case, case_seed, concept, ind, {"witness": str(exc)}, kb_text()
-                        )
-                    )
+                    fail(concept, ind, {"witness": str(exc)})
                     continue
                 witnesses += 2
-    return queries, failures, witnesses
+    return queries, failures, witnesses, top
 
 
 def _pool_case(args):
     case, case_seed, check_weak, validate_witnesses, limits = args
-    return case, run_case(case, case_seed, check_weak, validate_witnesses, *limits)
+    return run_case(case, case_seed, check_weak, validate_witnesses, *limits)
 
 
 def run_fuzz(
@@ -314,23 +326,17 @@ def run_fuzz(
         (i, _case_seed(seed, i), check_weak, validate_witnesses, limits)
         for i in range(cases)
     ]
-    total_q = 0
-    failures = []
-    witnesses = 0
     if jobs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             results = pool.map(_pool_case, work, chunksize=max(1, cases // (8 * jobs)))
-        results.sort(key=lambda r: r[0])
-        for _, (q, fails, wit) in results:
-            total_q += q
-            failures.extend(fails)
-            witnesses += wit
     else:
-        for args in work:
-            _, (q, fails, wit) = _pool_case(args)
-            total_q += q
-            failures.extend(fails)
-            witnesses += wit
-    failures.sort(key=lambda f: (f.case, f.concept, f.ind))
-    return FuzzReport(cases, total_q, failures, witnesses)
+        results = [_pool_case(args) for args in work]
+    report = FuzzReport(cases, 0, [])
+    for q, fails, wit, top in results:
+        report.queries += q
+        report.failures.extend(fails)
+        report.witnesses_checked += wit
+        report.top_level = max(report.top_level, top)
+    report.failures.sort(key=lambda f: (f.case, f.concept, f.ind))
+    return report

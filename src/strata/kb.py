@@ -169,6 +169,50 @@ def axiom_names(ax: NormGci):
     raise TypeError(f"not a normal-form axiom: {ax!r}")
 
 
+def rule_index(subs, conjs, exlefts, heads):
+    """(spawns, triggers, body_mask) for ``saturate._fire``, over rule tuples
+    in axiom order: a ``TBox``'s own, or a level's selection of them.
+
+    `subs` holds (lbit, rbit, axiom), `conjs` (lmask, rbit, axiom), `exlefts`
+    (role, fbit, rbit, axiom) and `heads` (lbit, fbit, axiom), one per
+    existential head.  A spawn is (lbit, fbit, axiom, back, fwd, fwd_mask):
+    `back` lists the existential bodies (fbit, rbit, axiom) the successor
+    reads off its parent (over the inverse role), `fwd` those the parent
+    reads off it, `fwd_mask` their fillers; its body is its lhs plus every
+    `back` filler.  `triggers` maps a one-bit mask to [subs, conjs, mask of
+    spawn positions] whose body reads that bit; `body_mask` holds them all.
+    """
+    # keyed on (name, inverted): hashing a Role dataclass is slow
+    by_role, fillers_of = {}, {}
+    for role, fbit, rbit, a in exlefts:
+        key = (role.name, role.inverted)
+        by_role.setdefault(key, []).append((fbit, rbit, a))
+        fillers_of[key] = fillers_of.get(key, 0) | fbit
+    by_role = {key: tuple(v) for key, v in by_role.items()}
+    triggers = {}
+
+    def slots(body):
+        while body:
+            low = body & -body
+            body ^= low
+            yield triggers.get(low) or triggers.setdefault(low, [[], [], 0])
+
+    for sub in subs:
+        for slot in slots(sub[0]):
+            slot[0].append(sub)
+    for conj in conjs:
+        for slot in slots(conj[0]):
+            slot[1].append(conj)
+    spawns = []
+    for lbit, fbit, a in heads:
+        key, inv = (a.role.name, a.role.inverted), (a.role.name, not a.role.inverted)
+        for slot in slots(lbit | fillers_of.get(inv, 0)):
+            slot[2] |= 1 << len(spawns)
+        back, fwd = by_role.get(inv, ()), by_role.get(key, ())
+        spawns.append((lbit, fbit, a, back, fwd, fillers_of.get(key, 0)))
+    return tuple(spawns), triggers, sum(triggers)
+
+
 class TBox:
     """An immutable set of normal-form axioms with lookup indexes.
 
@@ -229,63 +273,21 @@ class TBox:
             sig |= self.bot_bit
         self.signature_mask = sig
 
-        # Compiled rule views for the fixpoint engines.  The same pass fills
-        # the trigger index of ``saturate._fire`` (read-only once built): per
-        # one-bit mask, [subs (rbit, axiom), conjs (lmask, rbit, axiom), mask
-        # of the spawn positions] whose body reads that bit; `body_mask`
-        # holds every bit some body reads.
+        # Compiled rule views for the fixpoint engines, in axiom order.
         bit_of = self.bit_of
-        triggers = {}
-        subs, conjs, exlefts, exrights = [], [], [], []
+        subs, conjs, exlefts, heads = [], [], [], []
         for a in self.axioms:
             if isinstance(a, Sub):
-                lbit, rbit = 1 << bit_of[a.lhs], 1 << bit_of[a.rhs]
-                subs.append((lbit, rbit, a))
-                slot = triggers.get(lbit) or triggers.setdefault(lbit, [[], [], 0])
-                slot[0].append((rbit, a))
+                subs.append((1 << bit_of[a.lhs], 1 << bit_of[a.rhs], a))
             elif isinstance(a, ConjSub):
-                b1, b2 = 1 << bit_of[a.lhs1], 1 << bit_of[a.lhs2]
-                conjs.append((b1 | b2, 1 << bit_of[a.rhs], a))
-                for low in {b1, b2}:
-                    slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
-                    slot[1].append(conjs[-1])
+                lmask = 1 << bit_of[a.lhs1] | 1 << bit_of[a.lhs2]
+                conjs.append((lmask, 1 << bit_of[a.rhs], a))
             elif isinstance(a, ExLeft):
                 exlefts.append((a.role, 1 << bit_of[a.filler], 1 << bit_of[a.rhs], a))
             else:
-                exrights.append(a)
+                heads.append((1 << bit_of[a.lhs], 1 << bit_of[a.filler], a))
         self.subs, self.conjs, self.exlefts = tuple(subs), tuple(conjs), tuple(exlefts)
-        by_role, fillers_of = {}, {}
-        for role, fbit, rbit, a in exlefts:
-            by_role.setdefault(role, []).append((fbit, rbit, a))
-            fillers_of[role] = fillers_of.get(role, 0) | fbit
-        by_role = {role: tuple(v) for role, v in by_role.items()}
-        # Per existential head: (lbit, fbit, axiom, back, fwd, fwd_mask),
-        # where `back` lists the existential bodies the new successor reads
-        # off its parent (over the inverse role), `fwd` those the parent
-        # reads off it and `fwd_mask` their fillers.  A spawn's body is its
-        # lhs plus every `back` filler (its seed).
-        spawns = []
-        for i, a in enumerate(exrights):
-            lbit, inv = 1 << bit_of[a.lhs], a.role.invert()
-            spawns.append(
-                (
-                    lbit,
-                    1 << bit_of[a.filler],
-                    a,
-                    by_role.get(inv, ()),
-                    by_role.get(a.role, ()),
-                    fillers_of.get(a.role, 0),
-                )
-            )
-            body = lbit | fillers_of.get(inv, 0)
-            while body:
-                low = body & -body
-                body ^= low
-                slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
-                slot[2] |= 1 << i
-        self.spawns = tuple(spawns)
-        self.triggers = triggers
-        self.body_mask = sum(triggers)
+        self.spawns, self.triggers, self.body_mask = rule_index(subs, conjs, exlefts, heads)
 
         rhs_index = {}
         for a in self.axioms:

@@ -19,18 +19,20 @@ premise, or Bot does.  Transitions come from seven schemas:
          already in the premise (Top? test)
   aut    delegate a strictly lower concept to its own nested automaton
 
-The anon swaps are computed once per (level, premise, goal) by
-``LevelMap.swap_mask``, which the automaton and both evaluation engines share.
-Two shortcuts keep the closure calls few without changing the set.  If the
-premise alone entails the goal, monotonicity makes every candidate qualify.
-Otherwise only names in the goal's dependency cone are tested: the names from
-which body->head edges of the whole TBox reach the goal or Bot (Bot floods
-every type).  The edges are A->B for ``A <= B``; both conjuncts to the head of
-``A & A2 <= B``; X->B for ``exists r . X <= B``; and for ``A <= exists r . F``,
-A->F plus A->B for every ``exists r . X <= B`` (the successor is an
-r-neighbour of its parent) and every ``exists inv r . X <= B`` (the parent is
-an inv r-neighbour of the successor).  The whole TBox has every level's
-edges, so a name outside the cone cannot add the goal at any level.
+The four goal moves (sbus, succ, noc, anon) are written once, in
+``LevelMap.goal_moves``, which computes them per (level, premise, goal) for
+the automaton and the collapsed engine alike; the automaton adds weak, data
+and aut around them.  Two shortcuts keep the anon closure calls few without
+changing the set.  If the premise alone entails the goal, monotonicity makes
+every candidate qualify.  Otherwise only names in the goal's dependency cone
+are tested: the names from which body->head edges of the whole TBox reach the
+goal or Bot (Bot floods every type).  The edges are A->B for ``A <= B``; both
+conjuncts to the head of ``A & A2 <= B``; X->B for ``exists r . X <= B``; and
+for ``A <= exists r . F``, A->F plus A->B for every ``exists r . X <= B``
+(the successor is an r-neighbour of its parent) and every
+``exists inv r . X <= B`` (the parent is an inv r-neighbour of the
+successor).  The whole TBox has every level's edges, so a name outside the
+cone cannot add the goal at any level.
 
 The full state space is exponential in the premise component, so states and
 transitions materialize lazily: ``successors`` computes (and memoizes) one
@@ -49,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
-from .kb import BOT, TOP, ConjSub, ExLeft, KbError, Role, Sub, TBox
+from .kb import BOT, TOP, KbError, Role, TBox
 from .stratify import LevelMap, heights_for
 
 # The most states one automaton family may materialize; past it the rewriting
@@ -165,25 +167,18 @@ class NestedNfa:
                 out.append((TOP_TEST, AutState(premise - {c}, goal)))
         for b in self.con_names:
             out.append((ConceptTest(b), AutState(premise | {b}, goal)))
-        for ax in self.level_rules.by_rhs(goal):
-            if isinstance(ax, Sub):
-                out.append((TOP_TEST, AutState(premise, ax.lhs)))
-            elif isinstance(ax, ExLeft):
-                out.append((RoleStep(ax.role), AutState(frozenset({TOP}), ax.filler)))
-            elif isinstance(ax, ConjSub):
-                if ax.lhs1 in premise:
-                    out.append((TOP_TEST, AutState(premise, ax.lhs2)))
-                if ax.lhs2 in premise:
-                    out.append((TOP_TEST, AutState(premise, ax.lhs1)))
-        goal_bit = self.tbox.bit_of.get(goal)
-        if goal_bit is not None:
-            bit_of = self.tbox.bit_of
-            swaps = self.family.levels.swap_mask(
-                self.level, self.tbox.mask_of(premise), 1 << goal_bit
-            )
-            for b in self.con_names:
-                if swaps >> bit_of[b] & 1:
-                    out.append((TOP_TEST, AutState(premise, b)))
+        bit_of = self.tbox.bit_of
+        steps, swaps = self.family.levels.goal_moves(
+            self.level, self.tbox.mask_of(premise), 1 << bit_of[goal]
+        )
+        for role, name in steps:
+            if role is None:
+                out.append((TOP_TEST, AutState(premise, name)))
+            else:
+                out.append((RoleStep(role), AutState(frozenset({TOP}), name)))
+        for b in self.con_names:
+            if swaps >> bit_of[b] & 1:
+                out.append((TOP_TEST, AutState(premise, b)))
         for b in self.lower_names:
             out.append((AutoTest(b), AutState(premise | {b}, goal)))
         # collapse duplicate instances licensed by several schemas
@@ -248,8 +243,9 @@ def build_automaton(
     user order; when omitted it is computed here (raising if the TBox is not
     stratified).  Querying a name the TBox never mentions is allowed: it is
     adjoined to the signature at height 0, where only its own assertion can
-    prove it.  `level` overrides the automaton's level; the consistency
-    checker uses this to run the Bot automaton over the whole TBox.
+    prove it.  `level` overrides the automaton's level (the automaton
+    consistency check runs ``Evaluator.collapsed(BOT, x, level=...)``
+    instead, which needs no automaton).
     """
     if concept is None:
         raise KbError("build_automaton needs a concept name")

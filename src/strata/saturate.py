@@ -114,7 +114,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None, _n
             pending ^= low
             subs, conjs, smask = triggers[low]
             queued |= smask
-            for rbit, ax in subs:
+            for _, rbit, ax in subs:
                 if not cur & rbit:
                     cur |= rbit
                     pending |= rbit & body

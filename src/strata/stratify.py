@@ -49,6 +49,7 @@ from .kb import (
     TBox,
     axiom_names,
     format_axiom,
+    rule_index,
 )
 from .saturate import TypeCloser
 
@@ -427,47 +428,21 @@ class LevelRules:
 
         self._tbox, self._keep = tbox, keep
         self.mask_of, self.names_of = tbox.mask_of, tbox.names_of
+        subs = [x for x in tbox.subs if keep(x[2])]
+        conjs = [x for x in tbox.conjs if keep(x[2])]
+        exlefts = [x for x in tbox.exlefts if keep(x[3])]
+        heads = [x[:3] for x in tbox.spawns if keep(x[2])]
+        self.spawns, self.triggers, self.body_mask = rule_index(subs, conjs, exlefts, heads)
         sig = tbox.top_bit
         roles = set()
-        triggers = {}
-        for low, (subs, conjs, _) in tbox.triggers.items():
-            subs = [x for x in subs if keep(x[1])]
-            conjs = [x for x in conjs if keep(x[2])]
-            if subs or conjs:
-                triggers[low] = [subs, conjs, 0]
-        for lbit, rbit, ax in tbox.subs:
-            if keep(ax):
-                sig |= lbit | rbit
-        for lmask, rbit, ax in tbox.conjs:
-            if keep(ax):
-                sig |= lmask | rbit
-        for role, fbit, rbit, ax in tbox.exlefts:
-            if keep(ax):
-                sig |= fbit | rbit
-                roles.add(role.name)
-        spawns = []
-        for lbit, fbit, ax, back, fwd, _ in tbox.spawns:
-            if not keep(ax):
-                continue
-            back = tuple(e for e in back if keep(e[2]))
-            fwd = tuple(e for e in fwd if keep(e[2]))
-            fwd_mask = body = 0
-            for f2, _, _ in fwd:
-                fwd_mask |= f2
-            for f2, _, _ in back:
-                body |= f2
-            body |= lbit
-            while body:
-                low = body & -body
-                body ^= low
-                slot = triggers.get(low) or triggers.setdefault(low, [[], [], 0])
-                slot[2] |= 1 << len(spawns)
-            spawns.append((lbit, fbit, ax, back, fwd, fwd_mask))
+        for body, rbit, _ in subs + conjs:
+            sig |= body | rbit
+        for role, fbit, rbit, _ in exlefts:
+            sig |= fbit | rbit
+            roles.add(role.name)
+        for lbit, fbit, ax in heads:
             sig |= lbit | fbit
             roles.add(ax.role.name)
-        self.triggers = triggers
-        self.body_mask = sum(triggers)
-        self.spawns = tuple(spawns)
         self.signature_mask = sig
         self.bot_occurs = bool(sig & tbox.bot_bit)
         self.role_names = tuple(sorted(roles))
@@ -483,7 +458,7 @@ class LevelRules:
 
 class LevelMap:
     """Per-level views of a stratified TBox: rule views, concept masks,
-    type closers and the anon swap sets the automata share.
+    type closers and the goal moves every engine shares.
 
     ``con(T|n)`` is taken as the TBox concept names of height at most n
     (plus Top, plus Bot when Bot occurs at that level): a name of low height
@@ -522,11 +497,12 @@ class LevelMap:
         self._rules: Dict[int, LevelRules] = {}
         self._con_mask = {}
         self._closers: Dict[int, TypeCloser] = {}
-        self._swaps: Dict[Tuple[int, int, int], int] = {}
+        self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
         by_height = sorted(tbox.concept_names, key=lambda c: (heights.get(c, 0), c))
         self._concepts_by_height = tuple(by_height)
+        self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
 
     def height(self, name: str) -> int:
         if name in (TOP, BOT):
@@ -585,39 +561,57 @@ class LevelMap:
         roots and Bot-holding seeds."""
         return self.closer.contexts() + sum(c.contexts() for c in self._closers.values())
 
-    def swap_mask(self, level: int, premise_mask: int, goal_bit: int) -> int:
-        """The anon schema: bits B of con(T|level) whose addition to the
-        premise entails the goal at that level.
+    def goal_moves(self, level: int, premise_mask: int, goal_bit: int):
+        """The moves replacing the goal of a (premise, goal) state at
+        `level`, as ``(steps, swaps)``, computed once per argument triple.
 
-        Top is a candidate only for the bare premise {Top}: with more in the
-        premise, a premise-member swap covers everything a Top swap would.
-        Monotonicity answers at once when the premise alone entails the goal;
-        otherwise only names outside the premise and inside the goal's
-        dependency cone (see ``_cone``) can change the closure, so only they
-        are tested.  Both shortcuts need the premise inside con(T|level), as
-        every premise the automata build is: a Bot flood keeps only
-        con(T|level), so the closure is monotone on those premises alone.
+        `steps` holds (role, name) pairs, in the axiom order of T|level:
+        (None, B) for ``B <= goal`` (sbus), (r, F) for
+        ``exists r . F <= goal`` (succ, a move to an r-neighbour), and for
+        ``B1 & B2 <= goal`` (None, B2) if B1 is in the premise and (None,
+        B1) if B2 is (noc).
+        `swaps` (anon) holds the bits B of con(T|level) whose addition to
+        the premise entails the goal at that level; Top only for the bare
+        premise {Top}, since with more in the premise a premise-member swap
+        covers a Top swap.  If the premise alone entails the goal, every
+        candidate qualifies; otherwise only names outside the premise and
+        inside the goal's cone (``_cone``) are tested.  Both shortcuts need
+        a premise inside con(T|level), as every premise the engines build
+        is: a Bot flood keeps only con(T|level), so the closure is monotone
+        on those premises alone.
         """
         key = (level, premise_mask, goal_bit)
-        got = self._swaps.get(key)
+        got = self._moves.get(key)
         if got is None:
             level = min(level, self.max_level)
+            bit_of = self.tbox.bit_of
+            steps = []
+            for ax in self.rules_at(level).by_rhs(self.name_of[goal_bit]):
+                if isinstance(ax, Sub):
+                    steps.append((None, ax.lhs))
+                elif isinstance(ax, ExLeft):
+                    steps.append((ax.role, ax.filler))
+                elif isinstance(ax, ConjSub):
+                    if premise_mask >> bit_of[ax.lhs1] & 1:
+                        steps.append((None, ax.lhs2))
+                    if premise_mask >> bit_of[ax.lhs2] & 1:
+                        steps.append((None, ax.lhs1))
             top_bit = self.tbox.top_bit
             candidates = self.con_mask(level)
             if premise_mask != top_bit:
                 candidates &= ~top_bit
             closer = self.closer_at(level)
             if closer.closure_mask(premise_mask) & goal_bit:
-                got = candidates
+                swaps = candidates
             else:
-                got = 0
+                swaps = 0
                 rest = candidates & self._cone(goal_bit) & ~premise_mask
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     if closer.closure_mask(premise_mask | low) & goal_bit:
-                        got |= low
-            self._swaps[key] = got
+                        swaps |= low
+            got = self._moves[key] = (tuple(steps), swaps)
         return got
 
     def _cone(self, goal_bit: int) -> int:

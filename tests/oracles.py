@@ -224,6 +224,27 @@ def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bi
     return out
 
 
+def goal_moves_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int):
+    """The goal moves by per-axiom dispatch: the sbus, succ and noc steps of
+    every axiom of T|n with the goal on its right, where `closer` is the
+    closer of T|n that ``level_closer`` builds (its TBox is
+    ``restrict(T, h, n)``), plus the swaps ``swap_mask_scan`` finds."""
+    tbox = closer.tbox
+    goal = next(name for name, pos in tbox.bit_of.items() if 1 << pos == goal_bit)
+    steps = []
+    for ax in tbox.by_rhs(goal):
+        if isinstance(ax, Sub):
+            steps.append((None, ax.lhs))
+        elif isinstance(ax, ExLeft):
+            steps.append((ax.role, ax.filler))
+        elif isinstance(ax, ConjSub):
+            if ax.lhs1 in tbox.names_of(premise_mask):
+                steps.append((None, ax.lhs2))
+            if ax.lhs2 in tbox.names_of(premise_mask):
+                steps.append((None, ax.lhs1))
+    return tuple(steps), swap_mask_scan(closer, con_mask, premise_mask, goal_bit)
+
+
 def saturate_per_node(tbox: TBox, abox: AboxGraph):
     """ABox labels by the per-node path: close each individual's label as a
     ``TypeCloser`` context and push existential bodies across asserted edges,

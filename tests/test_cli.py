@@ -167,6 +167,37 @@ def test_rewrite_text_and_dot(tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("A B", "'A B' is not a concept name"),
+        ("1x", "'1x' is not a concept name"),
+        ("exists", "'exists' is not a concept name"),
+        ("r", "r is a role name, not a concept"),
+        ("s", "s is a role name, not a concept"),
+    ],
+    ids=["space", "digit", "keyword", "tbox-role", "abox-role"],
+)
+def test_rewrite_for_a_non_concept_is_a_usage_error(tmp_path, capsys, name, message):
+    p = tmp_path / "roles.kb"
+    p.write_text(ROLES_TEXT, encoding="utf-8")
+    assert main(["rewrite", str(p), "--for", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_top_and_bot_spellings_name_top_and_bot(tmp_path, capsys):
+    p = tmp_path / "roles.kb"
+    p.write_text(ROLES_TEXT, encoding="utf-8")
+    assert main(["rewrite", str(p), "--for", "top"]) == 0
+    assert capsys.readouterr().out.startswith("automaton: Top\n")
+    assert main(["ask", str(p), "--query", "top(b)"]) == 0
+    assert "answer: true" in capsys.readouterr().out
+    assert main(["ask", str(p), "--query", "exists(a)"]) == 2
+    assert capsys.readouterr().err == "error: 'exists' is not a concept name\n"
+
+
 def _conjunction_kb(tmp_path, k):
     p = tmp_path / f"conj{k}.kb"
     body = " & ".join(f"A{i}" for i in range(k))

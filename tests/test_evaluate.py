@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 from random import Random
 
 from strata import (
+    TOP,
     AboxGraph,
     AutoTest,
     ConceptTest,
+    ConjSub,
     Evaluator,
     ExLeft,
     KbError,
+    LevelMap,
     NotStratifiedError,
     Role,
     RoleStep,
@@ -23,11 +26,12 @@ from strata import (
     qbf_to_kb,
     random_qbf,
     random_stratified_kb,
+    run_fuzz,
     validate_witness,
 )
 
 from conftest import LOW_BOT_TEXT, TEX_TEXT
-from oracles import level_closer, swap_mask_scan
+from oracles import goal_moves_scan, level_closer
 
 
 def _reach():
@@ -164,7 +168,7 @@ def test_automaton_consistency_check_sees_derivable_bot():
 @settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_automaton_consistency_matches_oracle_on_role_connected_kbs(seed):
-    tbox, abox = random_stratified_kb(Random(seed), max_gcis=8)
+    tbox, abox, _ = random_stratified_kb(Random(seed), max_gcis=8)
     ev = Evaluator(tbox, abox)
     assert ev.automaton_inconsistent() == ev.oracle_inconsistent()
 
@@ -185,33 +189,33 @@ def test_automaton_consistency_sees_bot_through_an_inverse_role_successor():
 # -- the anon schema ------------------------------------------------------------
 
 
-def _asked_swaps(ev, concepts, individuals):
+def _asked_moves(ev, concepts, individuals):
     """Every (level, premise, goal) the collapsed and naive engines ask for."""
     asked = set()
-    swap_mask = ev.levels.swap_mask
+    goal_moves = ev.levels.goal_moves
 
     def recording(level, premise_mask, goal_bit):
         asked.add((level, premise_mask, goal_bit))
-        return swap_mask(level, premise_mask, goal_bit)
+        return goal_moves(level, premise_mask, goal_bit)
 
-    ev.levels.swap_mask = recording
+    ev.levels.goal_moves = recording
     for concept in concepts:
         for ind in individuals:
             ev.collapsed(concept, ind)
             ev.naive(concept, ind)
     ev.automaton_inconsistent()
-    del ev.levels.swap_mask
+    del ev.levels.goal_moves
     return asked
 
 
-def _assert_swaps_match_scan(levels, triples):
+def _assert_moves_match_scan(levels, triples):
     closers = {}
     for level, premise_mask, goal_bit in sorted(triples):
         n = min(level, levels.max_level)
         if n not in closers:
             closers[n] = level_closer(levels, n)
-        want = swap_mask_scan(closers[n], levels.con_mask(n), premise_mask, goal_bit)
-        assert levels.swap_mask(level, premise_mask, goal_bit) == want, (
+        want = goal_moves_scan(closers[n], levels.con_mask(n), premise_mask, goal_bit)
+        assert levels.goal_moves(level, premise_mask, goal_bit) == want, (
             level,
             premise_mask,
             goal_bit,
@@ -219,28 +223,43 @@ def _assert_swaps_match_scan(levels, triples):
 
 
 @pytest.mark.parametrize(
-    "limits", [(3, 2, 4, 6), (6, 3, 10, 12), (4, 2, 5, 14), (6, 3, 16, 10)],
-    ids=["tiny", "default", "dense", "wide"],
+    "limits",
+    [(3, 2, 4, 6, 3), (6, 3, 10, 12, 3), (4, 2, 5, 14, 3), (6, 3, 16, 10, 3), (16, 3, 10, 24, 8)],
+    ids=["tiny", "default", "dense", "wide", "tall"],
 )
 @settings(max_examples=60)
 @given(st.integers(0, 1_000_000))
 def test_swap_mask_matches_the_exhaustive_scan(limits, seed):
-    tbox, abox = random_stratified_kb(Random(seed), *limits)
-    ev = Evaluator(tbox, abox)
-    triples = _asked_swaps(ev, tbox.concept_names, abox.individuals)
-    # the signatures are small enough to also try every premise the automata
-    # can build at a level (Top plus a subset of con(T|n)) against every goal
+    tbox, abox, drawn = random_stratified_kb(Random(seed), *limits)
+    # odd seeds run on the drawn map as a user order, which reaches the tall
+    # strata the minimal heights never do
+    ev = Evaluator(tbox, abox, drawn if seed % 2 else None)
+    triples = _asked_moves(ev, tbox.concept_names, abox.individuals)
     levels = ev.levels
-    goals = [1 << b for b in tbox.bit_of.values()]
-    for n in range(levels.max_level + 1):
-        rest = levels.con_mask(n) & ~1
-        sub = rest
-        while True:
-            triples.update((n, sub | 1, g) for g in goals)
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    _assert_swaps_match_scan(levels, triples)
+    if len(tbox.concept_names) <= 6:
+        # small enough to also try every premise the automata can build at a
+        # level (Top plus a subset of con(T|n)) against every goal
+        goals = [1 << b for b in tbox.bit_of.values()]
+        for n in range(levels.max_level + 1):
+            rest = levels.con_mask(n) & ~1
+            sub = rest
+            while True:
+                triples.update((n, sub | 1, g) for g in goals)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+    _assert_moves_match_scan(levels, triples)
+
+
+def test_goal_moves_peel_the_conjunct_missing_from_the_premise():
+    tbox = TBox([ConjSub("A", "B", "C")])
+    levels = LevelMap(tbox, check_stratification(tbox).height)
+    n, goal = levels.height("C"), tbox.mask_of(["C"])
+    assert levels.goal_moves(n, tbox.mask_of([TOP]), goal)[0] == ()
+    assert levels.goal_moves(n, tbox.mask_of([TOP, "A"]), goal)[0] == ((None, "B"),)
+    assert levels.goal_moves(n, tbox.mask_of([TOP, "B"]), goal)[0] == ((None, "A"),)
+    both = levels.goal_moves(n, tbox.mask_of([TOP, "A", "B"]), goal)[0]
+    assert both == ((None, "B"), (None, "A"))
 
 
 @settings(max_examples=10)
@@ -248,18 +267,30 @@ def test_swap_mask_matches_the_exhaustive_scan(limits, seed):
 def test_swap_mask_matches_the_exhaustive_scan_on_qbf_reductions(seed, n, m):
     gen = qbf_to_kb(random_qbf(seed, n, m))
     ev = Evaluator(gen.tbox, gen.abox, gen.heights)
-    triples = _asked_swaps(ev, [gen.query[0]], [gen.query[1]])
+    triples = _asked_moves(ev, [gen.query[0]], [gen.query[1]])
     assert triples
-    _assert_swaps_match_scan(ev.levels, triples)
+    _assert_moves_match_scan(ev.levels, triples)
 
 
 # -- engine agreement & witnesses --------------------------------------------
 
 
+def test_fuzz_evaluates_tall_strata_under_the_drawn_orders():
+    # the tall class as scripts/run_fuzz.py runs it; its odd cases use the
+    # drawn height map, whose levels the minimal heights (at most 3) miss
+    report = run_fuzz(
+        40, 42, max_concepts=16, max_individuals=10, max_gcis=24, max_height=8,
+        validate_witnesses=True,
+    )
+    assert report.ok, report.failures[:1]
+    assert report.witnesses_checked > 0
+    assert report.top_level >= 6
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 1_000_000))
 def test_three_engines_agree(seed):
-    tbox, abox = random_stratified_kb(Random(seed))
+    tbox, abox, _ = random_stratified_kb(Random(seed))
     ev = Evaluator(tbox, abox)
     if ev.oracle_inconsistent():
         return
@@ -274,7 +305,7 @@ def test_three_engines_agree(seed):
 @settings(max_examples=30)
 @given(st.integers(0, 1_000_000))
 def test_weak_transitions_change_nothing(seed):
-    tbox, abox = random_stratified_kb(Random(seed), max_gcis=8)
+    tbox, abox, _ = random_stratified_kb(Random(seed), max_gcis=8)
     ev = Evaluator(tbox, abox)
     if ev.oracle_inconsistent():
         return
@@ -287,7 +318,7 @@ def test_weak_transitions_change_nothing(seed):
 @given(st.integers(0, 1_000_000))
 def test_horn_monotonicity(seed):
     rng = Random(seed)
-    tbox, abox = random_stratified_kb(rng, max_individuals=5, max_gcis=8)
+    tbox, abox, _ = random_stratified_kb(rng, max_individuals=5, max_gcis=8)
     ev = Evaluator(tbox, abox)
     if ev.oracle_inconsistent():
         return
@@ -321,7 +352,7 @@ def test_horn_monotonicity(seed):
 @settings(max_examples=40)
 @given(st.integers(0, 1_000_000))
 def test_witnesses_replay_under_the_run_conditions(seed):
-    tbox, abox = random_stratified_kb(Random(seed))
+    tbox, abox, _ = random_stratified_kb(Random(seed))
     ev = Evaluator(tbox, abox)
     if ev.oracle_inconsistent():
         return
@@ -341,7 +372,7 @@ def test_engines_agree_under_inflated_user_orders(seed):
     from strata import verify_preorder
 
     rng = Random(seed)
-    tbox, abox = random_stratified_kb(rng)
+    tbox, abox, _ = random_stratified_kb(rng)
     minimal = check_stratification(tbox).height
     h = dict(minimal)
     for _ in range(6):
@@ -378,7 +409,7 @@ def test_naive_witness_steps_are_real_transitions(seed, include_weak):
     # witness is a run of the automaton `build_automaton` builds
     tbox, heights = _reach()
     cases = [(tbox, _chain(3), heights)]
-    tbox, abox = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=8)
+    tbox, abox, _ = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=8)
     cases.append((tbox, abox, None))
     for tbox, abox, heights in cases:
         ev = Evaluator(tbox, abox, heights)

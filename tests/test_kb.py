@@ -133,7 +133,7 @@ def test_parse_comments_and_reserved_spellings():
 
 @given(st.integers(0, 10_000))
 def test_roundtrip_parse_of_printed_kb(seed):
-    tbox, abox = random_stratified_kb(Random(seed))
+    tbox, abox, _ = random_stratified_kb(Random(seed))
     text = format_kb(kb_from_normal(tbox, abox))
     back = parse_kb(text)
     tbox2, fresh = normalize(back.gcis)
@@ -144,7 +144,7 @@ def test_roundtrip_parse_of_printed_kb(seed):
 
 @given(st.integers(0, 10_000))
 def test_role_adjacency_is_closed_under_inversion(seed):
-    _, abox = random_stratified_kb(Random(seed))
+    _, abox, _ = random_stratified_kb(Random(seed))
     roles = {role for role, _, _ in abox.role_asserts()}
     for a in abox.individuals:
         for role in roles:

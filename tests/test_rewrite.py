@@ -81,7 +81,7 @@ def test_nested_alphabet_is_strictly_lower(tex):
 
 @given(st.integers(0, 3000))
 def test_alphabet_stratification_everywhere(seed):
-    tbox, _ = random_stratified_kb(Random(seed), max_gcis=8)
+    tbox, _, _ = random_stratified_kb(Random(seed), max_gcis=8)
     res = check_stratification(tbox)
     for concept in tbox.concept_names:
         nfa = build_automaton(tbox, res.height, concept)
@@ -92,7 +92,7 @@ def test_alphabet_stratification_everywhere(seed):
 
 @given(st.integers(0, 3000))
 def test_construction_is_deterministic(seed):
-    tbox, _ = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=6)
+    tbox, _, _ = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=6)
     res = check_stratification(tbox)
     for concept in tbox.concept_names[:2]:
         a = build_automaton(tbox, res.height, concept)

@@ -123,7 +123,7 @@ def test_fire_matches_the_scanning_kernel(seed):
 @settings(max_examples=40)
 @given(st.integers(0, 1_000_000))
 def test_saturation_matches_the_per_node_path_and_its_traces_replay(limits, seed):
-    tbox, abox = random_stratified_kb(Random(seed), *limits)
+    tbox, abox, _ = random_stratified_kb(Random(seed), *limits)
     closer = TypeCloser(tbox)
     sat = saturate_abox(tbox, abox, closer)
     assert sat.labels == saturate_per_node(tbox, abox)

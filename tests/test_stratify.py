@@ -154,7 +154,7 @@ def test_check_heights_are_pointwise_minimal(seed):
 
 @given(st.integers(0, 5000))
 def test_monotone_heights_property(seed):
-    tbox, _ = random_stratified_kb(Random(seed))
+    tbox, _, _ = random_stratified_kb(Random(seed))
     res = check_stratification(tbox)
     assert res.accepted
     fc = forced_constraints(tbox)
@@ -230,7 +230,7 @@ def test_verify_matches_the_reference_on_arbitrary_maps(seed):
 
 @given(st.integers(0, 5000))
 def test_verify_accepts_the_checkers_own_heights(seed):
-    tbox, _ = random_stratified_kb(Random(seed))
+    tbox, _, _ = random_stratified_kb(Random(seed))
     res = check_stratification(tbox)
     assert verify_preorder(tbox, res.height) == []
 
@@ -257,7 +257,7 @@ def test_restrict_beyond_max_height_is_identity(tex):
 
 @given(st.integers(0, 5000), st.integers(-1, 4))
 def test_restrict_is_monotone(seed, n):
-    tbox, _ = random_stratified_kb(Random(seed))
+    tbox, _, _ = random_stratified_kb(Random(seed))
     h = check_stratification(tbox).height
     assert set(restrict(tbox, h, n).axioms) <= set(restrict(tbox, h, n + 1).axioms)
 
@@ -281,7 +281,7 @@ FUZZ_CLASSES = pytest.mark.parametrize(
 @settings(max_examples=30)
 @given(st.integers(0, 1_000_000))
 def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed):
-    tbox, _ = random_stratified_kb(Random(seed), *limits)
+    tbox, _, _ = random_stratified_kb(Random(seed), *limits)
     h = check_stratification(tbox).height
     levels = LevelMap(tbox, h)
     for n in range(-1, levels.max_level + 1):
@@ -301,7 +301,7 @@ def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed):
 @given(st.integers(0, 1_000_000))
 def test_level_closures_equal_those_of_the_restricted_tbox(limits, seed):
     rng = Random(seed)
-    tbox, abox = random_stratified_kb(rng, *limits)
+    tbox, abox, _ = random_stratified_kb(rng, *limits)
     levels = LevelMap(tbox, check_stratification(tbox).height)
     if rng.random() < 0.5:  # the shared closer filled first, as by the pre-check
         saturate_abox(tbox, abox, levels.closer)
