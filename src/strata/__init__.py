@@ -66,6 +66,7 @@ from .evaluate import (
     Evaluator,
     IqResult,
     RunStep,
+    compile_kb,
     entails_iq,
     validate_witness,
 )

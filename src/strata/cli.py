@@ -13,8 +13,8 @@ import re
 import sys
 from pathlib import Path
 
-from .evaluate import entails_iq
-from .kb import BOT, TOP, KbError, ParseError, _is_name, normalize, parse_kb
+from .evaluate import compile_kb, entails_iq
+from .kb import BOT, TOP, KbError, ParseError, _is_name, kb_from_normal, normalize, parse_kb
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import build_automaton, export_automaton
 from .saturate import oracle_entails
@@ -29,6 +29,9 @@ def _load(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise KbError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise KbError(f"cannot read {path}: not UTF-8 text (line {line})")
     return parse_kb(text)
 
 
@@ -66,7 +69,8 @@ def _print_heights(heights):
 
 def _cmd_check(args) -> int:
     kb = _load(args.kb)
-    tbox, fresh = normalize(kb.gcis)
+    # compile_kb's stages, run one by one so the fresh names print first
+    tbox, fresh = normalize(kb.gcis, kb.abox.names())
     for name in sorted(fresh):
         print(f"fresh: {name}")
     heights, notes = heights_for(tbox, kb.order)  # rejection: see main()
@@ -80,10 +84,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     kb = _load(args.kb)
-    tbox, _ = normalize(kb.gcis)
-    heights, _ = heights_for(tbox, kb.order)
+    ev = compile_kb(kb.gcis, kb.abox, kb.order)
     concept = _concept_name(args.for_concept, kb)
-    nfa = build_automaton(tbox, heights, concept, include_weak=args.include_weak)
+    nfa = build_automaton(ev.tbox, ev.heights, concept, include_weak=args.include_weak)
     if args.dot:
         _write(Path(args.dot), export_automaton(nfa, "dot"))
     sys.stdout.write(export_automaton(nfa, "text"))
@@ -131,7 +134,8 @@ def _cmd_ask(args) -> int:
 def _cmd_oracle(args) -> int:
     kb = _load(args.kb)
     concept, ind = _parse_query(args.ask, kb)
-    tbox, _ = normalize(kb.gcis)
+    # no heights: the oracle answers unstratified KBs too
+    tbox, _ = normalize(kb.gcis, kb.abox.names())
     answer, trace = oracle_entails(tbox, kb.abox, concept, ind, want_trace=args.trace)
     print(f"answer: {'true' if answer else 'false'}")
     if args.trace and answer:
@@ -161,7 +165,7 @@ def _cmd_bench(args) -> int:
         gen = qbf_to_kb(formula)
         valid = qbf_valid_bruteforce(formula)
         order_ok = not verify_preorder(gen.tbox, gen.heights)
-        result = entails_iq(gen.tbox, gen.abox, gen.query[0], gen.query[1])
+        result = entails_iq(kb_from_normal(gen.tbox, gen.abox).gcis, gen.abox, *gen.query)
         ok = (result.answer == valid) and order_ok
         if not ok:
             failures += 1

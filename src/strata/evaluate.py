@@ -21,13 +21,14 @@ Three engines answer "does the KB entail C(a)?":
                   memoized.
 * ``oracle``:    saturation (see saturate module).
 
-``entails_iq`` wires the full pipeline: normalize, stratify (or verify a
-user-supplied order), consistency pre-check, then the selected engine.  The
-pre-check defaults to the oracle.  The experimental ``consistency="automaton"``
-check reads asserted Bots directly (a TBox that never mentions Bot gives its
-automata no Bot test) and runs the Bot automaton over the whole TBox from
-every individual; it agrees with the oracle on every generated KB the tests
-try.
+``compile_kb`` is the one front door from a KB to an ``Evaluator``:
+normalize with fresh names new to the whole KB, then stratify (or verify a
+user-supplied order).  ``entails_iq`` adds the consistency pre-check and
+runs the selected engine.  The pre-check defaults to the oracle.  The
+experimental ``consistency="automaton"`` check reads asserted Bots directly
+(a TBox that never mentions Bot gives its automata no Bot test) and runs the
+Bot automaton over the whole TBox from every individual; it agrees with the
+oracle on every generated KB the tests try.
 
 True answers come with a run witness replayable against the run conditions:
 role steps follow ABox edges, tests hold at a fixed individual in the
@@ -52,7 +53,7 @@ from .kb import (
 )
 from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
 from .saturate import SatResult, oracle_entails, saturate_abox
-from .stratify import LevelMap, NotStratifiedError, heights_for  # noqa: F401 (re-export)
+from .stratify import LevelMap, heights_for
 
 _TOP_BIT = 1
 _BOT_BIT = 2
@@ -90,14 +91,20 @@ def _path(parents, hit):
 
 
 class Evaluator:
-    """Shared engine state for many queries over one (TBox, ABox) pair."""
+    """A compiled KB: engine state shared by many queries over one (TBox,
+    ABox) pair.  Everything but the memo tables is fixed at construction: the
+    TBox, its heights, fresh names and stratification notes, and the
+    ``LevelMap``.
+    """
 
-    def __init__(self, tbox: TBox, abox: AboxGraph, heights: dict = None):
-        if heights is None:
-            heights, _ = heights_for(tbox)
+    def __init__(
+        self, tbox: TBox, abox: AboxGraph, heights: dict, fresh: dict = None, notes: tuple = ()
+    ):
         self.tbox = tbox
         self.abox = abox
         self.heights = heights
+        self.fresh = fresh or {}
+        self.notes = notes
         self.levels = LevelMap(tbox, heights)
         self._sat: Optional[SatResult] = None
         self._assert_mask: Dict[str, int] = {}
@@ -129,10 +136,6 @@ class Evaluator:
             self._assert_mask[ind] = m
         return m
 
-    def _require_ind(self, ind: str):
-        if ind not in self.abox.asserted:
-            raise KbError(f"unknown individual {ind!r}")
-
     def _lower_concept_bits(self, n: int):
         """(name, bit) pairs for concepts of height < n, lowest first."""
         if n not in self._lower_bits:
@@ -156,7 +159,7 @@ class Evaluator:
         return got
 
     def collapsed(self, concept: str, ind: str, level: int = None) -> bool:
-        self._require_ind(ind)
+        self.abox.require(ind)
         key = (concept, ind)
         if level is None:
             got = self._memo_collapsed.get(key)
@@ -228,7 +231,7 @@ class Evaluator:
     # -- naive engine ---------------------------------------------------------
 
     def naive(self, concept: str, ind: str, include_weak: bool = False) -> bool:
-        self._require_ind(ind)
+        self.abox.require(ind)
         key = (concept, ind, include_weak)
         got = self._memo_naive.get(key)
         if got is None:
@@ -334,8 +337,17 @@ class IqResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def compile_kb(gcis, abox: AboxGraph, order: dict = None) -> Evaluator:
+    """The one front door from a KB to an ``Evaluator``: normalize with fresh
+    names new to the whole KB, then take the heights from ``heights_for`` (a
+    verified user `order`, name -> height, or the minimal heights)."""
+    tbox, fresh = normalize(gcis, abox.names())
+    heights, notes = heights_for(tbox, order)
+    return Evaluator(tbox, abox, heights, fresh, notes)
+
+
 def entails_iq(
-    tbox_or_gcis,
+    gcis,
     abox: AboxGraph,
     concept: str,
     ind: str,
@@ -345,7 +357,7 @@ def entails_iq(
     order: dict = None,
     want_witness: bool = False,
 ) -> IqResult:
-    """The full pipeline: normalize, stratify, consistency pre-check, evaluate.
+    """The full pipeline: ``compile_kb``, consistency pre-check, evaluate.
 
     `engine` is one of collapsed/naive/oracle; `consistency` is oracle (the
     default), automaton (experimental), or none.  A user `order` (name ->
@@ -355,15 +367,8 @@ def entails_iq(
     every level's roots (``LevelMap.closure_contexts``).
     """
     t0 = time.perf_counter()
-    if isinstance(tbox_or_gcis, TBox):
-        tbox = tbox_or_gcis
-        fresh = {}
-    else:
-        tbox, fresh = normalize(tbox_or_gcis)
-    if ind not in abox.asserted:
-        raise KbError(f"unknown individual {ind!r}")
-    heights, notes = heights_for(tbox, order)
-    ev = Evaluator(tbox, abox, heights)
+    abox.require(ind)
+    ev = compile_kb(gcis, abox, order)
 
     inconsistent = False
     if consistency == "oracle":
@@ -376,14 +381,14 @@ def entails_iq(
     diagnostics = {
         "engine": engine,
         "consistency": consistency,
-        "fresh_names": tuple(sorted(fresh)),
-        "notes": notes,
+        "fresh_names": tuple(sorted(ev.fresh)),
+        "notes": ev.notes,
         "level": ev.levels.height(concept),
     }
     if inconsistent:
         diagnostics["closure_contexts"] = ev.levels.closure_contexts()
         diagnostics["elapsed"] = time.perf_counter() - t0
-        return IqResult(True, None, True, heights, diagnostics)
+        return IqResult(True, None, True, ev.heights, diagnostics)
 
     witness = None
     if engine == "collapsed":
@@ -403,7 +408,7 @@ def entails_iq(
         raise KbError(f"unknown engine {engine!r}")
     diagnostics["closure_contexts"] = ev.levels.closure_contexts()
     diagnostics["elapsed"] = time.perf_counter() - t0
-    return IqResult(answer, witness, False, heights, diagnostics)
+    return IqResult(answer, witness, False, ev.heights, diagnostics)
 
 
 # ---------------------------------------------------------------------------

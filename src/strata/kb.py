@@ -352,6 +352,17 @@ class AboxGraph:
         self.asserted = {a: frozenset(asserted.get(a, ())) for a in self.individuals}
         self._adj = {k: tuple(sorted(v)) for k, v in edges.items()}
 
+    def names(self) -> frozenset:
+        """Every name the ABox uses: individuals, concepts and roles."""
+        names = set(self.individuals).union(*self.asserted.values())
+        names.update(role.name for _, role in self._adj)
+        return frozenset(names)
+
+    def require(self, ind: str):
+        """Raise KbError unless `ind` is an individual of the ABox."""
+        if ind not in self.asserted:
+            raise KbError(f"unknown individual {ind!r}")
+
     def neighbors(self, ind: str, role: Role):
         return self._adj.get((ind, role), ())
 
@@ -621,6 +632,7 @@ def parse_kb(text: str) -> ParsedKb:
     role_asserts = []
     individuals = []
     order_levels = []
+    order_lines = {}  # name -> the order: line that placed it
     seen_sections = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -652,11 +664,17 @@ def parse_kb(text: str) -> ParsedKb:
         else:  # order
             level = []
             while toks.peek() is not None:
+                col = toks.col()
                 tok = toks.take()
                 if not _is_name(tok):
                     toks.err(f"expected a name, found {tok!r}")
                 if tok in ("Top", "top", "Bot", "bot"):
                     toks.err("Top and Bot have fixed height 0 and never appear in order:")
+                if tok in order_lines:
+                    raise ParseError(
+                        f"{tok!r} is already in order: on line {order_lines[tok]}", lineno, col
+                    )
+                order_lines[tok] = lineno
                 level.append(tok)
             if level:
                 order_levels.append(tuple(level))
@@ -824,6 +842,7 @@ class _Normalizer:
 
 
 def _surface_names(gcis):
+    """The concept and role names the GCIs use."""
     names = set()
 
     def walk(c):
@@ -834,6 +853,7 @@ def _surface_names(gcis):
             walk(c.lhs)
             walk(c.rhs)
         else:
+            names.add(c.role.name)
             walk(c.filler)
 
     for g in gcis:
@@ -842,16 +862,18 @@ def _surface_names(gcis):
     return names
 
 
-def normalize(gcis: Iterable[Gci]):
+def normalize(gcis: Iterable[Gci], reserved: Iterable[str] = ()):
     """Reduce surface GCIs to the four normal-form shapes.
 
     Returns (TBox, provenance) where provenance maps each fresh concept name
     to the complex subconcept it stands for.  Each distinct complex
     subconcept gets exactly one fresh name; defining axioms are emitted per
-    polarity of use, so the extension is conservative over the input names.
+    polarity of use.  Fresh names avoid the names of `gcis` and `reserved`,
+    where a KB passes its ABox's names (``AboxGraph.names``): the extension is
+    conservative only over names it does not reuse.
     """
     gcis = tuple(gcis)
-    norm = _Normalizer(_surface_names(gcis))
+    norm = _Normalizer(_surface_names(gcis).union(reserved))
     for g in gcis:
         norm.norm_axiom(g.lhs, g.rhs)
     return TBox(norm.out), dict(norm.provenance)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
 from .kb import BOT, TOP, KbError, Role, TBox
-from .stratify import LevelMap, heights_for
+from .stratify import LevelMap
 
 # The most states one automaton family may materialize; past it the rewriting
 # is refused with a KbError (exit 2 from the CLI).  The data schema makes the
@@ -232,25 +232,21 @@ class NestedNfa:
 
 def build_automaton(
     tbox: TBox,
-    heights: dict = None,
-    concept: str = None,
+    heights: dict,
+    concept: str,
     include_weak: bool = False,
     level: int = None,
 ) -> NestedNfa:
     """Build the rewriting automaton for `concept` at its height level.
 
     `heights` must come from an accepted stratification check or a verified
-    user order; when omitted it is computed here (raising if the TBox is not
-    stratified).  Querying a name the TBox never mentions is allowed: it is
-    adjoined to the signature at height 0, where only its own assertion can
-    prove it.  `level` overrides the automaton's level (the automaton
-    consistency check runs ``Evaluator.collapsed(BOT, x, level=...)``
-    instead, which needs no automaton).
+    user order, as ``compile_kb``'s do.  Querying a name the TBox never
+    mentions is allowed: it is adjoined to the signature at height 0, where
+    only its own assertion can prove it.  `level` overrides the automaton's
+    level (the automaton consistency check runs
+    ``Evaluator.collapsed(BOT, x, level=...)`` instead, which needs no
+    automaton).
     """
-    if concept is None:
-        raise KbError("build_automaton needs a concept name")
-    if heights is None:
-        heights, _ = heights_for(tbox)
     if concept not in (TOP, BOT) and concept not in tbox.bit_of:
         tbox = TBox(tbox.axioms, extra_concepts=(concept,))
         heights = dict(heights)

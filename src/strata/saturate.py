@@ -554,8 +554,7 @@ def oracle_entails(
     is inconsistent (everything follows then).  Returns (answer, trace); the
     trace replays per ``replay_derivation`` and is produced only for
     consistent KBs."""
-    if ind not in abox.asserted:
-        raise KbError(f"unknown individual {ind!r}")
+    abox.require(ind)
     if closer is None:
         closer = TypeCloser(tbox)
     if sat is None:

@@ -1,7 +1,9 @@
 """Stratification analysis: forced order constraints, the decision procedure,
 user-order verification, height computation, and TBox level restriction.
-``heights_for`` is the one front door the CLI, the pipeline, the rewriting
-and the evaluator take to get heights.
+``heights_for`` decides the heights every pipeline stage runs on.  Its
+callers are ``compile_kb`` (evaluate module), the one front door from a KB
+to an evaluator, and ``strata check``, which prints the fresh names before
+a rejection.
 
 A TBox is stratified when some preorder on its concept and role names
 satisfies, per axiom shape:

@@ -22,6 +22,7 @@ from strata import (
     TBox,
     check_stratification,
     entails_iq,
+    kb_from_normal,
     normalize,
     parse_kb,
     qbf_to_kb,
@@ -170,7 +171,7 @@ def test_criterion_07_qbf_reduction():
         formula = random_qbf(1000 + i, rng.randint(1, 3), rng.randint(1, 3))
         gen = qbf_to_kb(formula)
         assert verify_preorder(gen.tbox, gen.heights) == [], str(formula)
-        got = entails_iq(gen.tbox, gen.abox, gen.query[0], gen.query[1]).answer
+        got = entails_iq(kb_from_normal(gen.tbox, gen.abox).gcis, gen.abox, *gen.query).answer
         assert got == qbf_valid_bruteforce(formula), str(formula)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

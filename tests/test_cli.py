@@ -104,6 +104,9 @@ def test_ask_output_is_deterministic(tex_file, capsys):
 def test_ask_unstratifiable_reports_rejection(tprime_file, capsys):
     assert main(["ask", tprime_file, "--query", "A(a)"]) == 1
     assert "result: REJECTED" in capsys.readouterr().out
+    # the query is checked before the KB is compiled
+    assert main(["ask", tprime_file, "--query", "A(zz)"]) == 2
+    assert capsys.readouterr().err == "error: unknown individual 'zz'\n"
 
 
 ROLES_TEXT = """\
@@ -155,6 +158,60 @@ def test_oracle_trace_of_a_false_answer(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "answer: true\ntrace: unavailable (inconsistent KB entails everything)\n"
     )
+
+
+# KBs that already use the normalizer's first fresh name X1 for B & D: as an
+# ABox concept, which must not feed the fresh name's rules, and as a role
+COLLIDING_KBS = {
+    "abox-concept": (
+        "tbox:\nexists r . (B & D) <= C\nabox:\nr(a, b)\nX1(b)\n",
+        False,
+        "heights: B=0 D=0 r=0 X2=1 C=2",
+    ),
+    "role": (
+        "tbox:\nexists X1 . (B & D) <= C\nabox:\nX1(a, b)\nB(b)\nD(b)\n",
+        True,
+        "heights: B=0 D=0 X1=0 X2=1 C=2",
+    ),
+}
+COLLIDING_TRACE = (
+    "answer: true\n"
+    "steps: 2\n"
+    "step 1: apply 'B & D <= X2' at b: add X2(b) using B(b), D(b)\n"
+    "step 2: apply 'exists X1 . X2 <= C' at a: add C(a) using X1(a, b), X2(b)\n"
+)
+
+
+@pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
+@pytest.mark.parametrize("name", sorted(COLLIDING_KBS))
+def test_fresh_names_avoid_every_kb_name(tmp_path, capsys, name, engine):
+    text, want, heights = COLLIDING_KBS[name]
+    p = tmp_path / "colliding.kb"
+    p.write_text(text, encoding="utf-8")
+    argv = ["ask", str(p), "--query", "C(a)", "--engine", engine, "--witness"]
+    assert main(argv) == (0 if want else 1)
+    out = capsys.readouterr().out.splitlines()
+    assert f"answer: {str(want).lower()}" in out and heights in out
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("fresh: X2\nresult: ACCEPTED\n")
+
+
+@pytest.mark.parametrize("name", sorted(COLLIDING_KBS))
+def test_oracle_trace_avoids_every_kb_name(tmp_path, capsys, name):
+    text, want, _ = COLLIDING_KBS[name]
+    p = tmp_path / "colliding.kb"
+    p.write_text(text, encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", "C(a)", "--trace"]) == (0 if want else 1)
+    assert capsys.readouterr().out == (COLLIDING_TRACE if want else "answer: false\n")
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "latin1.kb"
+    p.write_bytes("tbox:\nA <= B  # caf\xe9\nabox:\nA(a)\n".encode("latin-1"))
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read {p}: not UTF-8 text (line 2)\n"
+    assert captured.out == ""
 
 
 def test_rewrite_text_and_dot(tmp_path, capsys):

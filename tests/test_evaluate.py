@@ -1,5 +1,7 @@
 """The evaluation engines, the pipeline, witnesses, and their validator."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from random import Random
@@ -20,7 +22,9 @@ from strata import (
     TBox,
     build_automaton,
     check_stratification,
+    compile_kb,
     entails_iq,
+    heights_for,
     normalize,
     parse_kb,
     qbf_to_kb,
@@ -104,6 +108,19 @@ def test_pipeline_worked_example():
     assert res.diagnostics["engine"] == "collapsed"
 
 
+def test_readme_library_snippet_runs_on_the_worked_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {"text": TEX_TEXT}
+    exec(snippet, scope)
+    ev, out = scope["ev"], scope["out"]
+    assert ev.fresh == {} and len(ev.notes) == 1 and ev.heights["D"] == 1
+    assert scope["res"].accepted
+    assert ev.collapsed("D", "a") and ev.oracle("D", "a")[0]
+    assert out.answer and out.diagnostics["engine"] == "collapsed"
+
+
 def test_pipeline_counts_closure_contexts():
     kb = parse_kb(TEX_TEXT)
     # the pre-check's successor {Top}, the level-1 root {A, B}, the level-0
@@ -169,7 +186,7 @@ def test_automaton_consistency_check_sees_derivable_bot():
 @given(st.integers(0, 100_000))
 def test_automaton_consistency_matches_oracle_on_role_connected_kbs(seed):
     tbox, abox, _ = random_stratified_kb(Random(seed), max_gcis=8)
-    ev = Evaluator(tbox, abox)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
     assert ev.automaton_inconsistent() == ev.oracle_inconsistent()
 
 
@@ -180,8 +197,7 @@ def test_automaton_consistency_sees_bot_through_an_inverse_role_successor():
         "tbox:\nA <= exists inv s . A\nexists s . Top <= Bot\nexists r . D <= A\n"
         "abox:\nr(b, c)\nD(c)\n"
     )
-    tbox, _ = normalize(kb.gcis)
-    ev = Evaluator(tbox, kb.abox)
+    ev = compile_kb(kb.gcis, kb.abox)
     assert ev.oracle_inconsistent()
     assert ev.automaton_inconsistent()
 
@@ -233,7 +249,7 @@ def test_swap_mask_matches_the_exhaustive_scan(limits, seed):
     tbox, abox, drawn = random_stratified_kb(Random(seed), *limits)
     # odd seeds run on the drawn map as a user order, which reaches the tall
     # strata the minimal heights never do
-    ev = Evaluator(tbox, abox, drawn if seed % 2 else None)
+    ev = Evaluator(tbox, abox, drawn if seed % 2 else heights_for(tbox)[0])
     triples = _asked_moves(ev, tbox.concept_names, abox.individuals)
     levels = ev.levels
     if len(tbox.concept_names) <= 6:
@@ -291,7 +307,7 @@ def test_fuzz_evaluates_tall_strata_under_the_drawn_orders():
 @given(st.integers(0, 1_000_000))
 def test_three_engines_agree(seed):
     tbox, abox, _ = random_stratified_kb(Random(seed))
-    ev = Evaluator(tbox, abox)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
     if ev.oracle_inconsistent():
         return
     for concept in tbox.concept_names:
@@ -306,7 +322,7 @@ def test_three_engines_agree(seed):
 @given(st.integers(0, 1_000_000))
 def test_weak_transitions_change_nothing(seed):
     tbox, abox, _ = random_stratified_kb(Random(seed), max_gcis=8)
-    ev = Evaluator(tbox, abox)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
     if ev.oracle_inconsistent():
         return
     for concept in tbox.concept_names:
@@ -319,7 +335,7 @@ def test_weak_transitions_change_nothing(seed):
 def test_horn_monotonicity(seed):
     rng = Random(seed)
     tbox, abox, _ = random_stratified_kb(rng, max_individuals=5, max_gcis=8)
-    ev = Evaluator(tbox, abox)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
     if ev.oracle_inconsistent():
         return
     true_answers = [
@@ -342,7 +358,7 @@ def test_horn_monotonicity(seed):
         abox.role_asserts() + extra_r,
         abox.individuals,
     )
-    ev2 = Evaluator(tbox, bigger)
+    ev2 = Evaluator(tbox, bigger, heights_for(tbox)[0])
     if ev2.oracle_inconsistent():
         return
     for c, i in true_answers:
@@ -353,7 +369,7 @@ def test_horn_monotonicity(seed):
 @given(st.integers(0, 1_000_000))
 def test_witnesses_replay_under_the_run_conditions(seed):
     tbox, abox, _ = random_stratified_kb(Random(seed))
-    ev = Evaluator(tbox, abox)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
     if ev.oracle_inconsistent():
         return
     oracle = lambda c, x: ev.oracle(c, x)[0]
@@ -410,7 +426,7 @@ def test_naive_witness_steps_are_real_transitions(seed, include_weak):
     tbox, heights = _reach()
     cases = [(tbox, _chain(3), heights)]
     tbox, abox, _ = random_stratified_kb(Random(seed), max_concepts=4, max_gcis=8)
-    cases.append((tbox, abox, None))
+    cases.append((tbox, abox, heights_for(tbox)[0]))
     for tbox, abox, heights in cases:
         ev = Evaluator(tbox, abox, heights)
         for concept in tbox.concept_names:

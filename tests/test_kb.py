@@ -1,7 +1,7 @@
 """Parsing, printing, normalization, and the normal-form validator."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from random import Random
 
 from strata import (
@@ -28,6 +28,7 @@ from strata import (
     random_stratified_kb,
     validate_normal_form,
 )
+from strata.cli import main
 
 from oracles import random_abox
 
@@ -83,6 +84,17 @@ def test_parse_errors_carry_position():
         parse_kb("tbox:\nA <= B\norder:\nA\norder:\nB\nabox:\nA(a)\n")
     with pytest.raises(ParseError, match="before the first section"):
         parse_kb("A <= B\n")
+
+
+def test_parse_rejects_a_name_on_two_order_lines(tmp_path, capsys):
+    text = "tbox:\nA <= B\nabox:\nA(a)\norder:\nA\nB\nC  B\n"
+    with pytest.raises(ParseError, match="'B' is already in order: on line 7") as err:
+        parse_kb(text)
+    assert (err.value.line, err.value.col) == (8, 4)
+    p = tmp_path / "twice.kb"
+    p.write_text(text, encoding="utf-8")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == "error: line 8, col 4: 'B' is already in order: on line 7\n"
 
 
 OVER_DEEP = {
@@ -251,6 +263,8 @@ def _definitional_normalize(gcis):
 
 
 @given(st.integers(0, 2000))
+@example(12)  # X1 and X2 asserted: fresh names blind to the ABox reuse both
+@example(13)
 def test_normalize_is_conservative_over_original_names(seed):
     rng = Random(seed)
     names = ["A", "B", "C"]
@@ -265,11 +279,12 @@ def test_normalize_is_conservative_over_original_names(seed):
         return Exists(Role(rng.choice(roles), rng.random() < 0.4), concept(depth - 1))
 
     gcis = tuple(Gci(concept(2), concept(1)) for _ in range(rng.randint(1, 4)))
-    ours = normalize(gcis)[0]
+    # the ABox also uses the normalizer's first fresh names, which it must skip
+    abox = random_abox(rng, names + ["X1", "X2"], roles, 3)
+    ours = normalize(gcis, abox.names())[0]
     theirs = _definitional_normalize(gcis)
-    abox = random_abox(rng, names, roles, 3)
     for a in abox.individuals:
-        for c in names:
+        for c in names + sorted(abox.names() & {"X1", "X2"}):
             got = oracle_entails(ours, abox, c, a)[0]
             want = oracle_entails(theirs, abox, c, a)[0]
             assert got == want, (c, a, got, want)

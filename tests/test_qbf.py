@@ -8,6 +8,7 @@ from strata import (
     Qbf3Dnf,
     check_stratification,
     entails_iq,
+    kb_from_normal,
     qbf_to_kb,
     qbf_valid_bruteforce,
     random_qbf,
@@ -88,7 +89,7 @@ def test_generated_kb_passes_all_static_checks():
 def test_reduction_on_fixed_formulas():
     for formula, want in ((_exists_x1(), True), (_forall_x1(), False), (_forall_exists(), True)):
         gen = qbf_to_kb(formula)
-        got = entails_iq(gen.tbox, gen.abox, gen.query[0], gen.query[1]).answer
+        got = entails_iq(kb_from_normal(gen.tbox, gen.abox).gcis, gen.abox, *gen.query).answer
         assert got == want, str(formula)
 
 
@@ -98,7 +99,7 @@ def test_reduction_matches_bruteforce(seed, n, m):
     formula = random_qbf(seed, n, m)
     gen = qbf_to_kb(formula)
     assert verify_preorder(gen.tbox, gen.heights) == []
-    got = entails_iq(gen.tbox, gen.abox, gen.query[0], gen.query[1]).answer
+    got = entails_iq(kb_from_normal(gen.tbox, gen.abox).gcis, gen.abox, *gen.query).answer
     assert got == qbf_valid_bruteforce(formula), str(formula)
 
 

@@ -20,6 +20,7 @@ from strata import (
     build_automaton,
     check_stratification,
     export_automaton,
+    heights_for,
     random_stratified_kb,
 )
 
@@ -30,7 +31,7 @@ def _reach_tbox():
 
 def test_reachability_automaton_has_exactly_two_states():
     tbox = _reach_tbox()
-    nfa = build_automaton(tbox, concept="A")
+    nfa = build_automaton(tbox, heights_for(tbox)[0], "A")
     assert len(nfa.states) == 2
     init = AutState(frozenset({TOP}), "A")
     acc = AutState(frozenset({TOP, "A"}), "A")
@@ -103,8 +104,8 @@ def test_construction_is_deterministic(seed):
 
 def test_weak_transitions_only_when_asked():
     tbox = _reach_tbox()
-    plain = build_automaton(tbox, concept="A")
-    weak = build_automaton(tbox, concept="A", include_weak=True)
+    plain = build_automaton(tbox, heights_for(tbox)[0], "A")
+    weak = build_automaton(tbox, heights_for(tbox)[0], "A", include_weak=True)
     assert not plain.include_weak and weak.include_weak
     acc = AutState(frozenset({TOP, "A"}), "A")
     drop = (acc, TOP_TEST, AutState(frozenset({TOP}), "A"))
@@ -115,7 +116,7 @@ def test_weak_transitions_only_when_asked():
 def test_weak_schema_drops_one_name_per_transition():
     # a state whose premise holds k names has k weak transitions, not 2^k
     tbox = TBox([ConjSub("A", "B", "X"), ConjSub("X", "C", "D")])
-    nfa = build_automaton(tbox, concept="D", include_weak=True)
+    nfa = build_automaton(tbox, heights_for(tbox)[0], "D", include_weak=True)
     for state in nfa.states:
         weak = [
             dst.premise
@@ -130,7 +131,7 @@ def test_weak_schema_drops_one_name_per_transition():
 
 def test_bot_automaton_is_buildable():
     tbox = TBox([ExLeft(Role("r"), "A", BOT)])
-    nfa = build_automaton(tbox, concept=BOT, level=1)
+    nfa = build_automaton(tbox, heights_for(tbox)[0], BOT, level=1)
     assert nfa.initial.goal == BOT
     syms = {sym for _, sym, _d in nfa.transitions}
     assert RoleStep(Role("r")) in syms  # it hunts the Bot-deriving body
@@ -140,7 +141,7 @@ def test_bot_automaton_is_buildable():
 
 
 def test_text_export_of_reachability_automaton():
-    nfa = build_automaton(_reach_tbox(), concept="A")
+    nfa = build_automaton(_reach_tbox(), {"A": 0, "r": 0}, "A")
     text = export_automaton(nfa, "text")
     assert "automaton: A" in text
     assert "states: 2" in text
@@ -167,7 +168,7 @@ def test_text_export_worked_example_lists_lower_autotests(tex):
 
 
 def test_dot_export_shape():
-    nfa = build_automaton(_reach_tbox(), concept="A")
+    nfa = build_automaton(_reach_tbox(), {"A": 0, "r": 0}, "A")
     dot = export_automaton(nfa, "dot")
     assert dot.startswith("digraph")
     assert dot.count("peripheries=2") == 1  # one accepting state
@@ -188,4 +189,4 @@ def test_dot_export_nests_subgraphs(tex):
 
 def test_unknown_format_rejected():
     with pytest.raises(KbError):
-        export_automaton(build_automaton(_reach_tbox(), concept="A"), "xml")
+        export_automaton(build_automaton(_reach_tbox(), {"A": 0, "r": 0}, "A"), "xml")
