@@ -26,6 +26,7 @@ from .kb import (
     format_kb,
     kb_from_normal,
     normalize,
+    normalize_kb,
     parse_kb,
     validate_normal_form,
 )

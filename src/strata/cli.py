@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .evaluate import compile_kb, entails_iq
-from .kb import BOT, TOP, KbError, ParseError, _is_name, kb_from_normal, normalize, parse_kb
+from .kb import KbError, ParseError, RESERVED, _is_name, kb_from_normal, normalize_kb, parse_kb
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import build_automaton, export_automaton
 from .saturate import oracle_entails
@@ -45,8 +45,8 @@ def _write(path: Path, text: str):
 def _concept_name(text: str, kb) -> str:
     """`text` read as a concept of `kb` by the KB syntax: a spelling of Top
     or Bot, or a name that is neither a keyword nor a role of `kb`."""
-    if text in ("Top", "top", "Bot", "bot"):
-        return TOP if text.lower() == "top" else BOT
+    if text in RESERVED:
+        return RESERVED[text]
     if not _is_name(text):
         raise KbError(f"{text!r} is not a concept name")
     if text in kb.role_names():
@@ -70,7 +70,7 @@ def _print_heights(heights):
 def _cmd_check(args) -> int:
     kb = _load(args.kb)
     # compile_kb's stages, run one by one so the fresh names print first
-    tbox, fresh = normalize(kb.gcis, kb.abox.names())
+    tbox, fresh = normalize_kb(kb.gcis, kb.abox)
     for name in sorted(fresh):
         print(f"fresh: {name}")
     heights, notes = heights_for(tbox, kb.order)  # rejection: see main()
@@ -84,8 +84,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     kb = _load(args.kb)
-    ev = compile_kb(kb.gcis, kb.abox, kb.order)
     concept = _concept_name(args.for_concept, kb)
+    ev = compile_kb(kb.gcis, kb.abox, kb.order, concept)
     nfa = build_automaton(ev.tbox, ev.heights, concept, include_weak=args.include_weak)
     if args.dot:
         _write(Path(args.dot), export_automaton(nfa, "dot"))
@@ -135,7 +135,7 @@ def _cmd_oracle(args) -> int:
     kb = _load(args.kb)
     concept, ind = _parse_query(args.ask, kb)
     # no heights: the oracle answers unstratified KBs too
-    tbox, _ = normalize(kb.gcis, kb.abox.names())
+    tbox, _ = normalize_kb(kb.gcis, kb.abox, concept)
     answer, trace = oracle_entails(tbox, kb.abox, concept, ind, want_trace=args.trace)
     print(f"answer: {'true' if answer else 'false'}")
     if args.trace and answer:

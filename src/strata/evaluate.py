@@ -17,8 +17,8 @@ Three engines answer "does the KB entail C(a)?":
                   goal) pairs with the premise pinned to that label.  The
                   engine reads the automaton's goal moves from
                   ``LevelMap.goal_moves``, where they are written once.
-                  Labels are computed bottom-up per height level and
-                  memoized.
+                  Labels grow one level at a time, and they are the
+                  engine's one memo.
 * ``oracle``:    saturation (see saturate module).
 
 ``compile_kb`` is the one front door from a KB to an ``Evaluator``:
@@ -49,7 +49,7 @@ from .kb import (
     AboxGraph,
     KbError,
     TBox,
-    normalize,
+    normalize_kb,
 )
 from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
 from .saturate import SatResult, oracle_entails, saturate_abox
@@ -108,11 +108,9 @@ class Evaluator:
         self.levels = LevelMap(tbox, heights)
         self._sat: Optional[SatResult] = None
         self._assert_mask: Dict[str, int] = {}
-        self._label: Dict[Tuple[str, int], int] = {}
-        self._memo_collapsed: Dict[Tuple[str, str], bool] = {}
+        self._labels: Dict[str, Tuple[int, ...]] = {}  # per individual, by level
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
         self._families: Dict[bool, _Family] = {}
-        self._lower_bits: Dict[int, tuple] = {}
         self.naive_visited = 0
         self.collapsed_visited = 0
 
@@ -136,42 +134,37 @@ class Evaluator:
             self._assert_mask[ind] = m
         return m
 
-    def _lower_concept_bits(self, n: int):
-        """(name, bit) pairs for concepts of height < n, lowest first."""
-        if n not in self._lower_bits:
-            names = self.levels.concepts_at(n - 1)
-            self._lower_bits[n] = tuple((c, 1 << self.tbox.bit_of[c]) for c in names)
-        return self._lower_bits[n]
-
     # -- collapsed engine ----------------------------------------------------
 
     def label_mask(self, ind: str, n: int) -> int:
-        """Top, plus asserted concepts of height <= n, plus strictly lower
-        concepts the rewriting itself establishes at `ind`."""
-        key = (ind, n)
-        got = self._label.get(key)
-        if got is None:
-            got = _TOP_BIT | (self.assert_mask(ind) & self.levels.con_mask(n))
-            for c, bit in self._lower_concept_bits(n):
-                if self.collapsed(c, ind):
-                    got |= bit
-            self._label[key] = got
-        return got
+        """Top, plus asserted concepts of con(T|n), plus strictly lower
+        concepts the rewriting itself establishes at `ind`.  The label at m
+        is the one at m-1 plus the names of height m-1 proved at `ind`; a
+        loop grows them from the highest stored, storing every level."""
+        labels = self._labels.get(ind, ())
+        while len(labels) <= n:
+            m = len(labels)
+            lab = (labels[-1] if m else _TOP_BIT) | self.assert_mask(ind) & self.levels.con_mask(m)
+            for c, bit in self.levels.by_height[m - 1] if m else ():
+                if self._collapsed_search(c, ind)[0]:
+                    lab |= bit
+            self._labels[ind] = labels = labels + (lab,)
+        return labels[n]
 
-    def collapsed(self, concept: str, ind: str, level: int = None) -> bool:
+    def collapsed(self, concept: str, ind: str) -> bool:
+        """Read off the label one level above `concept`'s height, once it is
+        stored; search otherwise."""
         self.abox.require(ind)
-        key = (concept, ind)
-        if level is None:
-            got = self._memo_collapsed.get(key)
-            if got is not None:
-                return got
-        found = self._collapsed_search(concept, ind, level)[0]
-        if level is None:
-            self._memo_collapsed[key] = found
-        return found
+        if concept not in (TOP, BOT) and concept in self.tbox.bit_of:
+            n = self.levels.height(concept) + 1
+            labels = self._labels.get(ind, ())
+            if n < len(labels):
+                return bool(labels[n] >> self.tbox.bit_of[concept] & 1)
+        return self._collapsed_search(concept, ind)[0]
 
     def _collapsed_search(self, concept: str, ind: str, level: int = None):
-        """BFS over (individual, goal) nodes; returns (answer, parents, hit)."""
+        """BFS over (individual, goal) nodes at `level` (by default the
+        concept's height); returns (answer, parents, hit)."""
         if concept == TOP:
             return True, None, (ind, TOP)
         if concept not in self.tbox.bit_of:  # only its own assertion helps
@@ -319,7 +312,7 @@ class Evaluator:
         """
         individuals = self.abox.individuals
         return any(BOT in self.abox.asserted[x] for x in individuals) or any(
-            self.collapsed(BOT, x, level=self.levels.max_level) for x in individuals
+            self._collapsed_search(BOT, x, self.levels.max_level)[0] for x in individuals
         )
 
 
@@ -337,11 +330,12 @@ class IqResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def compile_kb(gcis, abox: AboxGraph, order: dict = None) -> Evaluator:
+def compile_kb(gcis, abox: AboxGraph, order: dict = None, query: str = None) -> Evaluator:
     """The one front door from a KB to an ``Evaluator``: normalize with fresh
-    names new to the whole KB, then take the heights from ``heights_for`` (a
-    verified user `order`, name -> height, or the minimal heights)."""
-    tbox, fresh = normalize(gcis, abox.names())
+    names new to the whole KB and to the `query` concept (``normalize_kb``),
+    then take the heights from ``heights_for`` (a verified user `order`, name
+    -> height, or the minimal heights)."""
+    tbox, fresh = normalize_kb(gcis, abox, query)
     heights, notes = heights_for(tbox, order)
     return Evaluator(tbox, abox, heights, fresh, notes)
 
@@ -368,7 +362,7 @@ def entails_iq(
     """
     t0 = time.perf_counter()
     abox.require(ind)
-    ev = compile_kb(gcis, abox, order)
+    ev = compile_kb(gcis, abox, order, concept)
 
     inconsistent = False
     if consistency == "oracle":

@@ -38,7 +38,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # structure; this bound keeps every such pass far inside Python's recursion
 # limit, so over-deep input is a ParseError rather than a RecursionError.
 MAX_NESTING = 100
-_KEYWORDS = {"exists", "inv", "top", "bot", "Top", "Bot"}
+# the reserved concept spellings, and the concept each one denotes
+RESERVED = {"Top": TOP, "top": TOP, "Bot": BOT, "bot": BOT}
 
 
 class KbError(Exception):
@@ -415,8 +416,14 @@ class AboxGraph:
 class ParsedKb:
     gcis: tuple
     abox: AboxGraph
-    order: Optional[dict] = None  # name -> height level
     order_levels: Optional[tuple] = None  # tuple of tuples, low to high
+
+    @property
+    def order(self) -> Optional[dict]:
+        """The `order_levels` as name -> height level."""
+        if self.order_levels is None:
+            return None
+        return {name: h for h, level in enumerate(self.order_levels) for name in level}
 
     def role_names(self) -> frozenset:
         """The role names the TBox or the ABox uses."""
@@ -509,7 +516,7 @@ def _parse_role(toks: _Tokens, kinds: _KindTable) -> Role:
     if tok == "inv":
         inverted = True
         tok = toks.take()
-    if not _is_name(tok) or tok in ("Top", "top", "Bot", "bot"):
+    if not _is_name(tok) or tok in RESERVED:
         toks.err(f"expected a role name, found {tok!r}")
     kinds.use(tok, "role", toks)
     return Role(tok, inverted)
@@ -532,12 +539,9 @@ def _parse_unary(toks: _Tokens, kinds: _KindTable) -> Concept:
         c = Exists(role, _parse_unary(toks, kinds))
         toks.depth -= 1
         return c
-    if tok in ("Top", "top"):
+    if tok in RESERVED:
         toks.take()
-        return TOP
-    if tok in ("Bot", "bot"):
-        toks.take()
-        return BOT
+        return RESERVED[tok]
     if _is_name(tok):
         toks.take()
         kinds.use(tok, "concept", toks)
@@ -585,7 +589,7 @@ def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
     if tok == "inv":
         inverted = True
         tok = toks.take()
-    if not _is_name(tok) and tok not in ("Top", "top", "Bot", "bot"):
+    if not _is_name(tok):  # a reserved spelling is a name here
         toks.err(f"expected a concept or role name, found {tok!r}")
     toks.expect("(")
     first = toks.take()
@@ -596,11 +600,8 @@ def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
     if nxt == ")":
         if inverted:
             toks.err("'inv' only applies to role assertions")
-        if tok in ("Top", "top"):
-            concept = TOP
-        elif tok in ("Bot", "bot"):
-            concept = BOT
-        else:
+        concept = RESERVED.get(tok)
+        if concept is None:
             concept = tok
             kinds.use(tok, "concept", toks)
         if toks.peek() is not None:
@@ -615,7 +616,7 @@ def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
     toks.expect(")")
     if toks.peek() is not None:
         toks.err(f"trailing input: {toks.peek()!r}")
-    if tok in ("Top", "top", "Bot", "bot"):
+    if tok in RESERVED:
         toks.err(f"{tok!r} is not a role")
     kinds.use(tok, "role", toks)
     role = Role(tok, inverted)
@@ -668,7 +669,7 @@ def parse_kb(text: str) -> ParsedKb:
                 tok = toks.take()
                 if not _is_name(tok):
                     toks.err(f"expected a name, found {tok!r}")
-                if tok in ("Top", "top", "Bot", "bot"):
+                if tok in RESERVED:
                     toks.err("Top and Bot have fixed height 0 and never appear in order:")
                 if tok in order_lines:
                     raise ParseError(
@@ -679,15 +680,8 @@ def parse_kb(text: str) -> ParsedKb:
             if level:
                 order_levels.append(tuple(level))
     abox = AboxGraph(concept_asserts, role_asserts, individuals)
-    order = None
-    levels = None
-    if "order" in seen_sections:
-        order = {}
-        for h, level in enumerate(order_levels):
-            for name in level:
-                order[name] = h
-        levels = tuple(order_levels)
-    return ParsedKb(tuple(gcis), abox, order, levels)
+    levels = tuple(order_levels) if "order" in seen_sections else None
+    return ParsedKb(tuple(gcis), abox, levels)
 
 
 def format_kb(kb: ParsedKb) -> str:
@@ -721,13 +715,9 @@ def kb_from_normal(tbox: TBox, abox: AboxGraph, order_levels=None) -> ParsedKb:
             gcis.append(Gci(ax.lhs, Exists(ax.role, ax.filler)))
         else:
             gcis.append(Gci(Exists(ax.role, ax.filler), ax.rhs))
-    order = None
     if order_levels is not None:
-        order = {}
-        for h, level in enumerate(order_levels):
-            for name in level:
-                order[name] = h
-    return ParsedKb(tuple(gcis), abox, order, tuple(order_levels) if order_levels else None)
+        order_levels = tuple(map(tuple, order_levels))
+    return ParsedKb(tuple(gcis), abox, order_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +867,14 @@ def normalize(gcis: Iterable[Gci], reserved: Iterable[str] = ()):
     for g in gcis:
         norm.norm_axiom(g.lhs, g.rhs)
     return TBox(norm.out), dict(norm.provenance)
+
+
+def normalize_kb(gcis: Iterable[Gci], abox: AboxGraph, query: Optional[str] = None):
+    """``normalize`` for a KB, and for the concept name a query asks about:
+    fresh names avoid every ABox name and `query`, so a query never names a
+    subconcept the normalizer invented."""
+    reserved = abox.names()
+    return normalize(gcis, reserved if query is None else reserved | {query})
 
 
 def as_normal(g: Gci) -> Optional[NormGci]:

@@ -133,12 +133,9 @@ class NestedNfa:
         self.tbox = family.tbox
         self.level_rules = family.levels.rules_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
-        # alphabet pieces
-        cons = [TOP]
-        cons += list(family.levels.concepts_at(level))
-        if self.level_rules.bot_occurs:
-            cons.append(BOT)
-        self.con_names = tuple(cons)
+        # alphabet pieces, from the level map's per-height names
+        bot = (BOT,) if self.level_rules.bot_occurs else ()
+        self.con_names = (TOP, *family.levels.concepts_at(level), *bot)
         self.lower_names = family.levels.concepts_at(level - 1)
         self._succ: Dict[AutState, tuple] = {}
         self._states = None
@@ -243,9 +240,9 @@ def build_automaton(
     user order, as ``compile_kb``'s do.  Querying a name the TBox never
     mentions is allowed: it is adjoined to the signature at height 0, where
     only its own assertion can prove it.  `level` overrides the automaton's
-    level (the automaton consistency check runs
-    ``Evaluator.collapsed(BOT, x, level=...)`` instead, which needs no
-    automaton).
+    level, as in the whole-TBox Bot automaton; the automaton consistency
+    check runs the collapsed search for Bot at the top level instead, which
+    needs no automaton.
     """
     if concept not in (TOP, BOT) and concept not in tbox.bit_of:
         tbox = TBox(tbox.axioms, extra_concepts=(concept,))

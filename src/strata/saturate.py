@@ -467,7 +467,18 @@ class _TraceBuilder:
                 self.have_c.add((x[1], x[2]))
 
     def ensure(self, c, node, ctx):
-        """Derive concept c at `node`; ctx identifies where justs live."""
+        """Derive concept c at `node`; ctx identifies where justs live.  Each
+        ``_derive`` yields the premises it needs, in order, to a stack that
+        stands in for recursion: a derivation may outgrow the recursion limit."""
+        stack = [self._derive(c, node, ctx)]
+        while stack:
+            need = next(stack[-1], None)
+            if need is None:
+                stack.pop()
+            else:
+                stack.append(self._derive(*need))
+
+    def _derive(self, c, node, ctx):
         if c == TOP or (c, node) in self.have_c:
             return
         bit = 1 << self.tbox.bit_of[c]
@@ -485,12 +496,12 @@ class _TraceBuilder:
             raise KbError("derivation traces are only produced for consistent KBs")
         if kind == "sub":
             ax = just[1]
-            self.ensure(ax.lhs, node, ctx)
+            yield ax.lhs, node, ctx
             self.step(ax, node, [("concept", c, node)], [("concept", ax.lhs, node)])
         elif kind == "conj":
             ax = just[1]
-            self.ensure(ax.lhs1, node, ctx)
-            self.ensure(ax.lhs2, node, ctx)
+            yield ax.lhs1, node, ctx
+            yield ax.lhs2, node, ctx
             self.step(
                 ax,
                 node,
@@ -499,7 +510,7 @@ class _TraceBuilder:
             )
         elif kind == "edge":
             ax, nb = just[1], just[2]
-            self.ensure(ax.filler, nb, ("named", nb))
+            yield ax.filler, nb, ("named", nb)
             self.step(
                 ax,
                 node,
@@ -509,8 +520,8 @@ class _TraceBuilder:
         elif kind == "anon":
             exr, exl, seed_pairs, seed = just[1], just[2], just[3], just[4]
             stage = just[5] if just[5] is not None else self.closer.stable_stage(seed)
-            child = self._spawn(exr, seed_pairs, node, ctx)
-            self.ensure(exl.filler, child, ("anon", seed, stage))
+            child = yield from self._spawn(exr, seed_pairs, node, ctx)
+            yield exl.filler, child, ("anon", seed, stage)
             self.step(
                 exl,
                 node,
@@ -521,8 +532,9 @@ class _TraceBuilder:
             raise AssertionError(f"unknown justification {just!r}")
 
     def _spawn(self, exr, seed_pairs, node, ctx):
-        """Materialize the anonymous successor exr creates below `node`."""
-        self.ensure(exr.lhs, node, ctx)
+        """Materialize the anonymous successor exr creates below `node`; a
+        generator like ``_derive``, returning the successor."""
+        yield exr.lhs, node, ctx
         child = self.fresh_ind()
         self.step(
             exr,
@@ -531,7 +543,7 @@ class _TraceBuilder:
             [("concept", exr.lhs, node)],
         )
         for exl2, _ in seed_pairs:
-            self.ensure(exl2.filler, node, ctx)
+            yield exl2.filler, node, ctx
             self.step(
                 exl2,
                 child,

@@ -497,13 +497,16 @@ class LevelMap:
         self.closer = TypeCloser(tbox)
         self._level_of: Optional[Dict[NormGci, int]] = None
         self._rules: Dict[int, LevelRules] = {}
-        self._con_mask = {}
+        self._con_masks = []  # per level: Top and the names of height <= it
         self._closers: Dict[int, TypeCloser] = {}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
-        by_height = sorted(tbox.concept_names, key=lambda c: (heights.get(c, 0), c))
-        self._concepts_by_height = tuple(by_height)
+        # per height, its concept names as (name, bit) pairs, by name
+        top = max([self.max_level, *(heights.get(c, 0) for c in tbox.concept_names)])
+        self.by_height = tuple([] for _ in range(top + 1))
+        for c in tbox.concept_names:
+            self.by_height[heights.get(c, 0)].append((c, 1 << tbox.bit_of[c]))
         self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
 
     def height(self, name: str) -> int:
@@ -526,24 +529,16 @@ class LevelMap:
 
     def con_mask(self, n: int) -> int:
         """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present."""
-        key = min(n, self.max_level)
-        if key in self._con_mask:
-            return self._con_mask[key]
-        if n < 0:
-            mask = self.tbox.top_bit
-        else:
-            mask = self.tbox.top_bit
-            for c in self._concepts_by_height:
-                if self.heights.get(c, 0) <= n:
-                    mask |= 1 << self.tbox.bit_of[c]
-            if self.rules_at(n).bot_occurs:
-                mask |= self.tbox.bot_bit
-        self._con_mask[key] = mask
-        return mask
+        n = min(n, self.max_level)
+        masks = self._con_masks
+        while len(masks) <= n:
+            below = masks[-1] if masks else self.tbox.top_bit
+            masks.append(below | sum(bit for _, bit in self.by_height[len(masks)]))
+        return masks[n] | (self.tbox.bot_bit if self.rules_at(n).bot_occurs else 0)
 
     def concepts_at(self, n: int):
         """Concept names of height <= n (no Top/Bot), lowest first."""
-        return tuple(c for c in self._concepts_by_height if self.heights.get(c, 0) <= n)
+        return tuple(c for row in self.by_height[: n + 1] for c, _ in row)
 
     def closer_at(self, n: int) -> TypeCloser:
         """The closer of T|n, whose successor types come from ``closer``;

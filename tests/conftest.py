@@ -33,6 +33,17 @@ A B F r
 s
 """
 
+# the normalizer names B & D; a query on that name, X1 unless the query
+# reserves it, asks about a name outside the KB like any other
+FRESH_QUERY_TEXT = """\
+tbox:
+exists r . (B & D) <= C
+abox:
+B(b)
+D(b)
+r(a, b)
+"""
+
 
 @pytest.fixture
 def tex():

@@ -7,7 +7,7 @@ import pytest
 
 from strata.cli import main
 
-from conftest import LOW_BOT_TEXT, TEX_TEXT
+from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
 
 TPRIME_TEXT = """\
 tbox:
@@ -203,6 +203,49 @@ def test_oracle_trace_avoids_every_kb_name(tmp_path, capsys, name):
     p.write_text(text, encoding="utf-8")
     assert main(["oracle", str(p), "--ask", "C(a)", "--trace"]) == (0 if want else 1)
     assert capsys.readouterr().out == (COLLIDING_TRACE if want else "answer: false\n")
+
+
+@pytest.fixture
+def fresh_query_file(tmp_path):
+    p = tmp_path / "fresh.kb"
+    p.write_text(FRESH_QUERY_TEXT, encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
+def test_ask_on_the_normalizers_name_answers_false(fresh_query_file, capsys, engine):
+    argv = ["ask", fresh_query_file, "--engine", engine]
+    assert main([*argv, "--query", "X1(b)"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "answer: false" in out and "heights: B=0 D=0 r=0 X2=1 C=2" in out
+    assert main([*argv, "--query", "C(a)"]) == 0
+    assert "heights: B=0 D=0 r=0 X1=1 C=2" in capsys.readouterr().out.splitlines()
+
+
+def test_oracle_on_the_normalizers_name_answers_false(fresh_query_file, capsys):
+    assert main(["oracle", fresh_query_file, "--ask", "X1(b)", "--trace"]) == 1
+    assert capsys.readouterr().out == "answer: false\n"
+
+
+def test_rewrite_of_the_normalizers_name_is_that_of_a_name_outside(fresh_query_file, capsys):
+    assert main(["rewrite", fresh_query_file, "--for", "X1"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["rewrite", fresh_query_file, "--for", "Zed"]) == 0
+    assert fresh == capsys.readouterr().out.replace("Zed", "X1")
+
+
+def test_oracle_trace_longer_than_the_recursion_limit(tmp_path, capsys):
+    p = tmp_path / "chain.kb"
+    axioms = "".join(f"C{i} <= C{i + 1}\n" for i in range(1100))
+    p.write_text(f"tbox:\n{axioms}abox:\nC0(a)\n", encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", "C1100(a)", "--trace"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "answer: true",
+        "steps: 1100",
+        "step 1: apply 'C0 <= C1' at a: add C1(a) using C0(a)",
+    ]
+    assert out[-1] == "step 1100: apply 'C1099 <= C1100' at a: add C1100(a) using C1099(a)"
 
 
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):

@@ -34,7 +34,7 @@ from strata import (
     validate_witness,
 )
 
-from conftest import LOW_BOT_TEXT, TEX_TEXT
+from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
 from oracles import goal_moves_scan, level_closer
 
 
@@ -151,6 +151,15 @@ def test_pipeline_foreign_concept_is_assertion_only():
     kb = parse_kb("tbox:\nA <= B\nabox:\nA(a)\nQ(b)\n")
     assert not entails_iq(kb.gcis, kb.abox, "Q", "a").answer
     assert entails_iq(kb.gcis, kb.abox, "Q", "b").answer
+
+
+@pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
+def test_pipeline_query_on_the_normalizers_name_is_outside_the_kb(engine):
+    kb = parse_kb(FRESH_QUERY_TEXT)
+    res = entails_iq(kb.gcis, kb.abox, "X1", "b", engine=engine)
+    assert not res.answer and res.diagnostics["fresh_names"] == ("X2",)
+    assert entails_iq(kb.gcis, kb.abox, "C", "a", engine=engine).answer
+    assert compile_kb(kb.gcis, kb.abox).fresh.keys() == {"X1"}
 
 
 def test_pipeline_accepts_user_order():

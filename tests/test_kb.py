@@ -143,6 +143,23 @@ def test_parse_comments_and_reserved_spellings():
     assert kb.abox.asserted["y"] == frozenset({BOT})
 
 
+# a reserved spelling where a role or an order name goes, and the message
+RESERVED_MISUSE = {
+    "role in a concept": ("tbox:\nexists Top . A <= B\n", "expected a role name, found 'Top'"),
+    "inverse role": ("tbox:\nexists inv bot . A <= B\n", "expected a role name, found 'bot'"),
+    "role assertion": ("abox:\ntop(a, b)\n", "'top' is not a role"),
+    "order name": ("order:\nA Bot\n", "Top and Bot have fixed height 0 and never appear"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESERVED_MISUSE))
+def test_reserved_spellings_are_not_roles_or_order_names(case):
+    text, message = RESERVED_MISUSE[case]
+    with pytest.raises(ParseError, match=message) as err:
+        parse_kb(text)
+    assert err.value.line == 2
+
+
 @given(st.integers(0, 10_000))
 def test_roundtrip_parse_of_printed_kb(seed):
     tbox, abox, _ = random_stratified_kb(Random(seed))
@@ -172,6 +189,15 @@ def test_roundtrip_preserves_order_section():
         levels,
     )
     assert parse_kb(format_kb(kb)).order_levels == levels
+
+
+def test_roundtrip_keeps_an_empty_order_section():
+    kb = kb_from_normal(TBox([Sub("A", "B")]), AboxGraph(concept_asserts=[("A", "a")]), [])
+    assert kb.order_levels == () and kb.order == {}
+    assert format_kb(kb).endswith("order:\n")
+    back = parse_kb(format_kb(kb))
+    assert back.order_levels == () and back.order == {}
+    assert kb_from_normal(TBox([Sub("A", "B")]), AboxGraph()).order is None
 
 
 # -- normalization -----------------------------------------------------------

@@ -193,6 +193,16 @@ def test_oracle_worked_example_with_trace(tex):
     assert replay_derivation(tbox, abox, trace, "D", "a")
 
 
+def test_a_trace_longer_than_the_recursion_limit_replays():
+    steps = 1100
+    tbox = TBox([Sub(f"C{i}", f"C{i + 1}") for i in range(steps)])
+    abox = AboxGraph(concept_asserts=[("C0", "a")])
+    ans, trace = oracle_entails(tbox, abox, f"C{steps}", "a", want_trace=True)
+    assert ans and len(trace) == steps
+    assert [st.axiom for st in trace] == list(tbox.axioms)
+    assert replay_derivation(tbox, abox, trace, f"C{steps}", "a")
+
+
 def test_oracle_no_axioms_no_entailment():
     tbox = TBox([], extra_concepts=("A", "B"))
     abox = AboxGraph(concept_asserts=[("A", "a")])
