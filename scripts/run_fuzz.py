@@ -45,7 +45,6 @@ def main(argv=None):
                 args.cases,
                 args.seed,
                 jobs=args.jobs,
-                check_weak=True,
                 validate_witnesses=True,
                 max_concepts=ncon,
                 max_roles=nrol,

@@ -31,15 +31,11 @@ from .kb import (
     validate_normal_form,
 )
 from .stratify import (
-    AtLeastOne,
-    ForcedConstraints,
     LevelMap,
-    MustStrict,
     NotStratifiedError,
     StratResult,
     Violation,
     check_stratification,
-    forced_constraints,
     heights_for,
     restrict,
     verify_preorder,
@@ -51,7 +47,6 @@ from .saturate import (
     oracle_entails,
     replay_derivation,
     saturate_abox,
-    type_closure,
 )
 from .rewrite import (
     AutoTest,

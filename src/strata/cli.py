@@ -73,7 +73,7 @@ def _cmd_check(args) -> int:
     tbox, fresh = normalize_kb(kb.gcis, kb.abox)
     for name in sorted(fresh):
         print(f"fresh: {name}")
-    heights, notes = heights_for(tbox, kb.order)  # rejection: see main()
+    heights, notes = heights_for(tbox, kb.order, fresh)  # rejection: see main()
     print("result: ACCEPTED")
     print(f"order: {'minimal' if kb.order is None else 'order-section'}")
     for note in notes:
@@ -105,7 +105,6 @@ def _cmd_ask(args) -> int:
         ind,
         engine=args.engine,
         consistency=args.consistency,
-        include_weak=args.include_weak,
         order=kb.order,
         want_witness=args.witness,
     )
@@ -222,7 +221,6 @@ def _build_parser():
     a.add_argument("--query", required=True, metavar="C(a)")
     a.add_argument("--engine", choices=("collapsed", "naive", "oracle"), default="collapsed")
     a.add_argument("--consistency", choices=("oracle", "automaton", "none"), default="oracle")
-    a.add_argument("--include-weak", action="store_true")
     a.add_argument("--witness", action="store_true")
     a.set_defaults(fn=_cmd_ask)
 

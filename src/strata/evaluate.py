@@ -333,10 +333,11 @@ class IqResult:
 def compile_kb(gcis, abox: AboxGraph, order: dict = None, query: str = None) -> Evaluator:
     """The one front door from a KB to an ``Evaluator``: normalize with fresh
     names new to the whole KB and to the `query` concept (``normalize_kb``),
-    then take the heights from ``heights_for`` (a verified user `order`, name
-    -> height, or the minimal heights)."""
+    then take the heights from ``heights_for`` (a user `order`, name ->
+    height, completed on the fresh names and verified, or the minimal
+    heights)."""
     tbox, fresh = normalize_kb(gcis, abox, query)
-    heights, notes = heights_for(tbox, order)
+    heights, notes = heights_for(tbox, order, fresh)
     return Evaluator(tbox, abox, heights, fresh, notes)
 
 
@@ -347,7 +348,6 @@ def entails_iq(
     ind: str,
     engine: str = "collapsed",
     consistency: str = "oracle",
-    include_weak: bool = False,
     order: dict = None,
     want_witness: bool = False,
 ) -> IqResult:
@@ -355,7 +355,7 @@ def entails_iq(
 
     `engine` is one of collapsed/naive/oracle; `consistency` is oracle (the
     default), automaton (experimental), or none.  A user `order` (name ->
-    height) is verified instead of searching for one.  The diagnostics count,
+    height) is completed on the fresh names and verified.  The diagnostics count,
     under ``closure_contexts``, the type closure contexts the query created:
     the whole-TBox ones its successor types and the pre-check share, plus
     every level's roots (``LevelMap.closure_contexts``).
@@ -391,9 +391,9 @@ def entails_iq(
             witness = ev.collapsed_witness(concept, ind)
         diagnostics["visited"] = ev.collapsed_visited
     elif engine == "naive":
-        answer = ev.naive(concept, ind, include_weak)
+        answer = ev.naive(concept, ind)
         if answer and want_witness:
-            witness = ev.naive_witness(concept, ind, include_weak)
+            witness = ev.naive_witness(concept, ind)
         diagnostics["visited"] = ev.naive_visited
     elif engine == "oracle":
         answer, _ = ev.oracle(concept, ind)

@@ -5,10 +5,10 @@ admits, so every generated TBox is stratified by construction (the checker
 and ``verify_preorder`` re-verify both as a free cross-check).  Odd-numbered
 cases run on the drawn map as a user order, even ones on the minimal heights.
 The harness then runs every (concept, individual) instance query through the
-collapsed engine, the faithful product search (optionally with and without
-premise weakening), and the saturation oracle, all behind the same
-consistency pre-check, and reports any disagreement with a reproducible case
-seed and the offending KB verbatim.
+collapsed engine, the faithful product search (with and without premise
+weakening), and the saturation oracle, all behind the same consistency
+pre-check, and reports any disagreement with a reproducible case seed and
+the offending KB verbatim.
 """
 
 from __future__ import annotations
@@ -221,7 +221,6 @@ def _case_seed(seed: int, index: int) -> int:
 def run_case(
     case: int,
     case_seed: int,
-    check_weak: bool = True,
     validate_witnesses: bool = False,
     max_concepts: int = 6,
     max_roles: int = 3,
@@ -273,9 +272,8 @@ def run_case(
                 "collapsed": ev.collapsed(concept, ind),
                 "naive": ev.naive(concept, ind),
                 "oracle": ev.oracle(concept, ind)[0],
+                "naive_weak": ev.naive(concept, ind, include_weak=True),
             }
-            if check_weak:
-                answers["naive_weak"] = ev.naive(concept, ind, include_weak=True)
             if len(set(answers.values())) != 1:
                 fail(concept, ind, answers)
                 continue
@@ -295,15 +293,14 @@ def run_case(
 
 
 def _pool_case(args):
-    case, case_seed, check_weak, validate_witnesses, limits = args
-    return run_case(case, case_seed, check_weak, validate_witnesses, *limits)
+    case, case_seed, validate_witnesses, limits = args
+    return run_case(case, case_seed, validate_witnesses, *limits)
 
 
 def run_fuzz(
     cases: int,
     seed: int,
     jobs: int = 1,
-    check_weak: bool = True,
     validate_witnesses: bool = False,
     max_concepts: int = 6,
     max_roles: int = 3,
@@ -322,10 +319,7 @@ def run_fuzz(
     if not 1 <= jobs <= cpus:
         raise KbError(f"jobs must lie between 1 and the CPU count {cpus}, got {jobs}")
     limits = (max_concepts, max_roles, max_individuals, max_gcis, max_height)
-    work = [
-        (i, _case_seed(seed, i), check_weak, validate_witnesses, limits)
-        for i in range(cases)
-    ]
+    work = [(i, _case_seed(seed, i), validate_witnesses, limits) for i in range(cases)]
     if jobs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:

@@ -301,12 +301,6 @@ class TBox:
         """Axioms whose right-hand side is exactly `name` (Bot included)."""
         return self._rhs_index.get(name, ())
 
-    def con_names(self) -> frozenset:
-        names = {TOP, *self.concept_names}
-        if self.bot_occurs:
-            names.add(BOT)
-        return frozenset(names)
-
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
         for n in names:

@@ -109,9 +109,13 @@ class QbfKb:
     tbox: TBox
     abox: AboxGraph
     query: Tuple[str, str]  # (concept, individual)
-    heights: dict
     order_levels: Tuple[Tuple[str, ...], ...]
     families: dict  # family number -> tuple of axioms, mirroring the reduction
+
+    @property
+    def heights(self) -> dict:
+        """The `order_levels` as name -> height level."""
+        return {name: h for h, level in enumerate(self.order_levels) for name in level}
 
     def kb_text(self) -> str:
         return format_kb(kb_from_normal(self.tbox, self.abox, self.order_levels))
@@ -203,17 +207,11 @@ def qbf_to_kb(formula: Qbf3Dnf) -> QbfKb:
         levels.append((_true_at(i, 0),))
         levels.append((_true_at(i, 1),))
         levels.append((_true_at(i),))
-
-    heights = {}
-    for h, level in enumerate(levels):
-        for name in level:
-            heights[name] = h
     return QbfKb(
         formula,
         tbox,
         abox,
         (_true_at(0), "a"),
-        heights,
         tuple(levels),
         {k: tuple(v) for k, v in fam.items()},
     )

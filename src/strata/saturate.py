@@ -314,12 +314,6 @@ class TypeCloser:
         return self._stage_justs[(mask | _TOP_BIT, stage)]
 
 
-def type_closure(names, tbox: TBox, closer: TypeCloser = None) -> frozenset:
-    """The concept names entailed for a single node asserted to satisfy S."""
-    closer = closer or TypeCloser(tbox)
-    return closer.closure(names)
-
-
 # ---------------------------------------------------------------------------
 # ABox saturation
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Stratification analysis: forced order constraints, the decision procedure,
-user-order verification, height computation, and TBox level restriction.
+"""Stratification analysis: the least-heights solver, user-order
+verification and completion, and TBox level restriction.
 ``heights_for`` decides the heights every pipeline stage runs on.  Its
 callers are ``compile_kb`` (evaluate module), the one front door from a KB
 to an evaluator, and ``strata check``, which prints the fresh names before
@@ -23,15 +23,16 @@ Axioms with Bot on the right carry no constraint, and Top/Bot never take part
 in the order (their height is pinned to 0).
 
 These conditions are written once, as the clause table ``_clauses``; the
-forced constraints of the decision and the check of a user order both read
-it, so the checker and the verifier cannot disagree.
+solver and the check of a user order both read it, so the checker and the
+verifier cannot disagree.
 
-Heights are the pointwise-least solution of the induced difference
-constraints, so the computed nesting depth for the rewriting is minimal.
-They come from one pass over the strongly connected components of the
-forced edges in topological order (Tarjan, SIAM J. Comput. 1972).  For a
-rejected TBox the same pass skips the violated constraints, so its heights
-are the least solution of the rest.
+Heights are the pointwise-least solution of the clauses at or above a floor
+map (all 0 for the minimal heights, a user order to complete one), so the
+computed nesting depth for the rewriting is minimal.  They come from one
+pass over the strongly connected components of the ``le``/``lt`` edges in
+topological order (Tarjan, SIAM J. Comput. 1972).  For a rejected TBox the
+same pass skips the violated clauses, so its heights are the least solution
+of the rest.
 """
 
 from __future__ import annotations
@@ -54,27 +55,6 @@ from .kb import (
     rule_index,
 )
 from .saturate import TypeCloser
-
-
-@dataclass(frozen=True)
-class MustStrict:
-    lo: str
-    hi: str
-    axiom: NormGci
-
-
-@dataclass(frozen=True)
-class AtLeastOne:
-    first: Tuple[str, str]
-    second: Tuple[str, str]
-    axiom: NormGci
-
-
-@dataclass
-class ForcedConstraints:
-    edges: frozenset  # ordered (lo, hi) pairs over concept names and role vertices
-    strict: tuple  # MustStrict / AtLeastOne, in axiom order
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -154,26 +134,6 @@ def _pinned(clause) -> bool:
     return not _PINNED.isdisjoint((*lo, hi) if kind == "one" else (lo, hi))
 
 
-def forced_constraints(tbox: TBox) -> ForcedConstraints:
-    """The order constraints every admissible preorder must contain."""
-    edges = set()
-    strict = []
-    notes = set()
-    for ax in tbox.axioms:
-        clauses, note = _clauses(ax)
-        if note:
-            notes.add(note)
-        for kind, lo, hi in clauses:
-            if kind == "one":
-                x1, x2 = lo
-                strict.append(AtLeastOne((x1, hi), (x2, hi), ax))
-                continue
-            edges.add((lo, hi))
-            if kind == "lt":
-                strict.append(MustStrict(lo, hi, ax))
-    return ForcedConstraints(frozenset(edges), tuple(strict), tuple(sorted(notes)))
-
-
 def _sccs(vertices, succ):
     """Iterative Tarjan; returns scc id per vertex, ids in topological order."""
     index = {}
@@ -249,65 +209,65 @@ def _cycle_path(lo, hi, succ):
     return [hi, lo]
 
 
-def check_stratification(tbox: TBox) -> StratResult:
+def check_stratification(tbox: TBox, floors: Optional[Dict[str, int]] = None) -> StratResult:
     """Decide whether any admissible preorder exists; report minimal heights.
 
-    The reflexive-transitive closure of the forced edges is the smallest
-    candidate preorder, and growing a preorder can only lose strictness, so a
-    strict requirement that fails there fails everywhere.  Heights are the
-    least solution of the constraint system, hence pointwise below any
-    user-verified height map.
+    The reflexive-transitive closure of the ``le`` and ``lt`` clauses is the
+    smallest candidate preorder, and growing a preorder can only lose
+    strictness, so a strict clause that fails there fails everywhere.
+    Heights are the least solution of the clauses at or above `floors`
+    (name -> height, 0 for a name it leaves out), hence pointwise below any
+    admissible height map at or above them.
     """
-    fc = forced_constraints(tbox)
     vertices = sorted(set(tbox.concept_names) | set(tbox.role_names))
+    edges = set()
+    strict = []  # the lt and one clauses with their axioms, in axiom order
+    notes = set()
+    for ax in tbox.axioms:
+        clauses, note = _clauses(ax)
+        if note:
+            notes.add(note)
+        for clause in clauses:
+            kind, lo, hi = clause
+            if kind != "one":
+                edges.add((lo, hi))
+            if kind != "le":
+                strict.append((clause, ax))
     succ = {}
-    for lo, hi in sorted(fc.edges):
+    for lo, hi in sorted(edges):
         succ.setdefault(lo, []).append(hi)
     scc_of, sccs = _sccs(vertices, succ)
 
-    # Per SCC, the strict constraints with their head in it: tuples of the
-    # SCCs of the lows, one of which must lie strictly below.  A low inside
-    # the head's own SCC cannot, so it drops out; with no low left the
-    # constraint is violated.
+    # Per SCC, the strict clauses with their head in it: tuples of the SCCs
+    # of the lows, one of which must lie strictly below.  A low inside the
+    # head's own SCC cannot, so it drops out; with no low left the clause is
+    # violated.
     pulls = [[] for _ in sccs]
     violations = []
-    for c in fc.strict:
-        if isinstance(c, MustStrict):
-            if scc_of[c.lo] == scc_of[c.hi]:
-                cyc = _cycle_path(c.lo, c.hi, succ)
-                chain = " <= ".join([f"{c.lo}", *cyc])
-                violations.append(
-                    Violation(
-                        "strict",
-                        c.axiom,
-                        f"axiom '{format_axiom(c.axiom)}' needs {c.lo} strictly below "
-                        f"{c.hi}, but the axioms force the cycle {chain}",
-                    )
-                )
-            else:
-                pulls[scc_of[c.hi]].append((scc_of[c.lo],))
+
+    def bad(kind, ax, need):
+        violations.append(Violation(kind, ax, f"axiom '{format_axiom(ax)}' needs {need}"))
+
+    for (kind, lo, hi), ax in strict:
+        k = scc_of[hi]
+        xs = lo if kind == "one" else (lo,)
+        lows = tuple(scc_of[x] for x in xs if scc_of[x] != k)
+        if lows:
+            pulls[k].append(lows)
+        elif kind == "lt":
+            chain = " <= ".join([lo, *_cycle_path(lo, hi, succ)])
+            bad("strict", ax, f"{lo} strictly below {hi}, but the axioms force the cycle {chain}")
         else:
-            (x1, y), (x2, _) = c.first, c.second
-            k = scc_of[y]
-            lows = tuple(j for j in (scc_of[x1], scc_of[x2]) if j != k)
-            if lows:
-                pulls[k].append(lows)
-            else:
-                violations.append(
-                    Violation(
-                        "at-least-one",
-                        c.axiom,
-                        f"axiom '{format_axiom(c.axiom)}' needs {x1} or {x2} strictly "
-                        f"below {y}, but both are forced into its cycle",
-                    )
-                )
+            msg = f"{lo[0]} or {lo[1]} strictly below {hi}, but both are forced into its cycle"
+            bad("at-least-one", ax, msg)
 
     # One pass over the condensation in topological order: an SCC's height
-    # is the largest pull of its strict constraints, then it pushes its
-    # height along the forced edges out of it.
+    # is its largest floor or pull, then it pushes its height along the
+    # edges out of it.
+    floors = floors or {}
     level = [0] * len(sccs)
     for i, comp in enumerate(sccs):
-        hi = level[i]
+        hi = max(level[i], *(floors.get(v, 0) for v in comp))
         for lows in pulls[i]:
             hi = max(hi, min([level[j] for j in lows]) + 1)
         level[i] = hi
@@ -317,8 +277,7 @@ def check_stratification(tbox: TBox) -> StratResult:
                 if level[j] < hi:
                     level[j] = hi
     heights = {v: level[scc_of[v]] for v in vertices}
-    accepted = not violations
-    return StratResult(accepted, heights, violations, fc.notes)
+    return StratResult(not violations, heights, violations, tuple(sorted(notes)))
 
 
 class NotStratifiedError(KbError):
@@ -329,23 +288,31 @@ class NotStratifiedError(KbError):
 
 
 def heights_for(
-    tbox: TBox, order: Optional[Dict[str, int]] = None
+    tbox: TBox, order: Optional[Dict[str, int]] = None, fresh=()
 ) -> Tuple[Dict[str, int], Tuple[str, ...]]:
     """The heights every pipeline stage runs on, and the checker's notes.
 
-    A user `order` (name -> height) is verified and used as given; without
-    one the minimal heights are computed.  Raises NotStratifiedError listing
-    the violations when the order is inadmissible or the TBox unstratified.
+    Without a user `order` (name -> height) these are the minimal heights.
+    With one, the order's heights stand, each `fresh` name (the
+    normalizer's) it leaves out gets its least height at or above the
+    order, and ``verify_preorder`` checks the completed map.  That loses no
+    admissible completion: the clauses are monotone, so if one exists, the
+    least solution at or above the order equals the order on its own names
+    and is admissible itself.  Raises NotStratifiedError listing the
+    violations when the map is inadmissible or the TBox unstratified.
     """
-    if order is not None:
-        violations = verify_preorder(tbox, order)
-        if violations:
-            raise NotStratifiedError(violations)
-        return dict(order), ()
-    res = check_stratification(tbox)
-    if not res.accepted:
-        raise NotStratifiedError(res.violations)
-    return res.height, res.notes
+    res = check_stratification(tbox, order)
+    if order is None:
+        if not res.accepted:
+            raise NotStratifiedError(res.violations)
+        return res.height, res.notes
+    heights = dict(order)
+    for name in fresh:
+        heights.setdefault(name, res.height[name])
+    violations = verify_preorder(tbox, heights)
+    if violations:
+        raise NotStratifiedError(violations)
+    return heights, ()
 
 
 def verify_preorder(tbox: TBox, heights: Dict[str, int]) -> List[Violation]:

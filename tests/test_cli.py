@@ -234,6 +234,75 @@ def test_rewrite_of_the_normalizers_name_is_that_of_a_name_outside(fresh_query_f
     assert fresh == capsys.readouterr().out.replace("Zed", "X1")
 
 
+# the normalizer names B & C X1, and an order may leave X1 out: it gets the
+# least height the clauses allow at or above the order's heights
+OWN_ORDER_TEXT = "tbox:\nA <= exists r . (B & C)\nabox:\nA(a)\norder:\n"
+
+
+def _own_order_file(tmp_path, order):
+    p = tmp_path / "own-order.kb"
+    p.write_text(OWN_ORDER_TEXT + order, encoding="utf-8")
+    return str(p)
+
+
+def test_check_completes_an_order_of_the_kbs_own_names(tmp_path, capsys):
+    assert main(["check", _own_order_file(tmp_path, "A B C r\n")]) == 0
+    assert capsys.readouterr().out == (
+        "fresh: X1\n"
+        "result: ACCEPTED\n"
+        "order: order-section\n"
+        "height: A 0\n"
+        "height: B 0\n"
+        "height: C 0\n"
+        "height: X1 0\n"
+        "height: r 0\n"
+    )
+
+
+@pytest.mark.parametrize("query", ["A(a)", "B(a)"])
+@pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
+def test_ask_on_an_order_of_the_kbs_own_names(tmp_path, capsys, engine, query):
+    p = _own_order_file(tmp_path, "A B C r\n")
+    want = main(["oracle", p, "--ask", query])
+    capsys.readouterr()
+    assert main(["ask", p, "--query", query, "--engine", engine]) == want
+    assert "heights: A=0 B=0 C=0 X1=0 r=0" in capsys.readouterr().out.splitlines()
+
+
+def test_an_order_that_leaves_out_a_kb_name_is_a_usage_error(tmp_path, capsys):
+    p = _own_order_file(tmp_path, "A B\nr\n")
+    for argv in (["check", p], ["ask", p, "--query", "A(a)"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: height map is missing ['C']\n"
+
+
+def test_an_order_that_lists_the_fresh_name_keeps_its_heights(tmp_path, capsys):
+    assert main(["check", _own_order_file(tmp_path, "A X1\nB C r\n")]) == 0
+    assert capsys.readouterr().out == (
+        "fresh: X1\n"
+        "result: ACCEPTED\n"
+        "order: order-section\n"
+        "height: A 0\n"
+        "height: X1 0\n"
+        "height: B 1\n"
+        "height: C 1\n"
+        "height: r 1\n"
+    )
+
+
+@pytest.mark.parametrize("order", ["A B C\nr X1\n", "B C\nA r\n"], ids=["listed", "completed"])
+def test_an_inadmissible_order_reports_its_violations(tmp_path, capsys, order):
+    # listed: X1 sits above B and C as given; completed: X1 must sit at or
+    # above A, so above B and C as well
+    assert main(["check", _own_order_file(tmp_path, order)]) == 1
+    assert capsys.readouterr().out == (
+        "fresh: X1\n"
+        "result: REJECTED\n"
+        "violation: axiom 'X1 <= B': X1 must lie below B\n"
+        "violation: axiom 'X1 <= C': X1 must lie below C\n"
+    )
+
+
 def test_oracle_trace_longer_than_the_recursion_limit(tmp_path, capsys):
     p = tmp_path / "chain.kb"
     axioms = "".join(f"C{i} <= C{i + 1}\n" for i in range(1100))

@@ -22,7 +22,6 @@ from strata import (
     replay_derivation,
     restrict,
     saturate_abox,
-    type_closure,
 )
 from strata.saturate import _fire
 
@@ -36,7 +35,7 @@ FUZZ_CLASSES = pytest.mark.parametrize(
 
 def test_type_closure_worked_example(tex):
     tbox, _, _ = tex
-    got = type_closure({"A"}, tbox)
+    got = TypeCloser(tbox).closure({"A"})
     # cross-check by a small chase on the singleton ABox
     labels, incon, capped = chase(tbox, AboxGraph(concept_asserts=[("A", "x")]), 3)
     assert not incon and not capped
@@ -44,12 +43,12 @@ def test_type_closure_worked_example(tex):
 
 
 def test_type_closure_top_alone_stays_top(tex):
-    assert type_closure({TOP}, tex[0]) == frozenset({TOP})
+    assert TypeCloser(tex[0]).closure({TOP}) == frozenset({TOP})
 
 
 def test_type_closure_bot_floods_signature():
     tbox = TBox([Sub("A", BOT), Sub("B", "B")])
-    got = type_closure({"A"}, tbox)
+    got = TypeCloser(tbox).closure({"A"})
     assert got == frozenset({TOP, BOT, "A", "B"})
 
 
@@ -78,8 +77,8 @@ def test_type_closure_grows_with_the_level(seed):
     names = list(tbox.concept_names)
     s = frozenset(rng.sample(names, rng.randint(0, len(names))))
     n = rng.randint(0, 2)
-    low = type_closure(s, restrict(tbox, res.height, n))
-    high = type_closure(s, restrict(tbox, res.height, n + 1))
+    low = TypeCloser(restrict(tbox, res.height, n)).closure(s)
+    high = TypeCloser(restrict(tbox, res.height, n + 1)).closure(s)
     assert low <= high
 
 

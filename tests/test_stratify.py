@@ -1,5 +1,7 @@
 """Order constraints, the stratification decision, user orders, restriction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from random import Random
@@ -9,20 +11,18 @@ from strata import (
     TOP,
     And,
     LevelMap,
-    AtLeastOne,
     ConjSub,
     ExLeft,
     ExRight,
     Exists,
     Gci,
     KbError,
-    MustStrict,
+    NotStratifiedError,
     Role,
     Sub,
     TBox,
     TypeCloser,
     check_stratification,
-    forced_constraints,
     heights_for,
     normalize,
     parse_kb,
@@ -32,6 +32,7 @@ from strata import (
     saturate_abox,
     verify_preorder,
 )
+from strata.stratify import _clauses
 
 from conftest import LOW_BOT_TEXT
 
@@ -51,36 +52,39 @@ def _tprime():
     return normalize(surface)[0]
 
 
+def _forced(tbox):
+    """The clause table of `tbox` as the solver reads it: the edges of its
+    le and lt clauses, and its lt and one clauses in axiom order."""
+    clauses = [c for ax in tbox.axioms for c in _clauses(ax)[0]]
+    edges = frozenset((lo, hi) for kind, lo, hi in clauses if kind != "one")
+    return edges, tuple(c for c in clauses if c[0] != "le")
+
+
 def test_forced_constraints_worked_example(tex):
-    fc = forced_constraints(tex[0])
+    edges, strict = _forced(tex[0])
     # the Top-filler premise pins the role below its consumer, hence r -> D
-    assert fc.edges == frozenset(
-        {("A", "B"), ("A", "C"), ("B", "C"), ("C", "r"), ("r", "D")}
-    )
-    assert fc.strict == (AtLeastOne(("A", "C"), ("B", "C"), ConjSub("A", "B", "C")),)
+    assert edges == frozenset({("A", "B"), ("A", "C"), ("B", "C"), ("C", "r"), ("r", "D")})
+    assert strict == (("one", ("A", "B"), "C"),)
 
 
 def test_forced_constraints_separating_tbox():
-    fc = forced_constraints(_tprime())
-    assert fc.edges == frozenset(
+    edges, strict = _forced(_tprime())
+    assert edges == frozenset(
         {("r", "A"), ("s", "A"), ("A", "X1"), ("A", "X2"), ("X1", "A"), ("X2", "A")}
     )
-    musts = {(c.lo, c.hi) for c in fc.strict if isinstance(c, MustStrict)}
-    assert musts == {("A", "X1"), ("A", "X2")}
-    assert any(isinstance(c, AtLeastOne) for c in fc.strict)
+    assert {(lo, hi) for kind, lo, hi in strict if kind == "lt"} == {("A", "X1"), ("A", "X2")}
+    assert any(kind == "one" for kind, _, _ in strict)
 
 
 def test_forced_constraints_empty_tbox():
-    fc = forced_constraints(TBox([], extra_concepts=("A",)))
-    assert fc.edges == frozenset() and fc.strict == ()
+    assert _forced(TBox([], extra_concepts=("A",))) == (frozenset(), ())
 
 
 def test_forced_constraints_skip_bot_and_top():
     tbox = TBox(
         [Sub("A", BOT), ConjSub("A", "B", BOT), ExLeft(Role("r"), "A", BOT), Sub(TOP, "B")]
     )
-    fc = forced_constraints(tbox)
-    assert fc.edges == frozenset() and fc.strict == ()
+    assert _forced(tbox) == (frozenset(), ())
 
 
 def test_check_accepts_worked_example(tex):
@@ -152,23 +156,6 @@ def test_check_heights_are_pointwise_minimal(seed):
         assert best is None
 
 
-@given(st.integers(0, 5000))
-def test_monotone_heights_property(seed):
-    tbox, _, _ = random_stratified_kb(Random(seed))
-    res = check_stratification(tbox)
-    assert res.accepted
-    fc = forced_constraints(tbox)
-    for lo, hi in fc.edges:
-        assert res.height[lo] <= res.height[hi]
-    for c in fc.strict:
-        if isinstance(c, MustStrict):
-            assert res.height[c.lo] < res.height[c.hi]
-        else:
-            assert res.height[c.first[0]] < res.height[c.first[1]] or (
-                res.height[c.second[0]] < res.height[c.second[1]]
-            )
-
-
 # -- verify_preorder -----------------------------------------------------------
 
 
@@ -233,6 +220,52 @@ def test_verify_accepts_the_checkers_own_heights(seed):
     tbox, _, _ = random_stratified_kb(Random(seed))
     res = check_stratification(tbox)
     assert verify_preorder(tbox, res.height) == []
+
+
+# -- completing a user order on the fresh names ---------------------------------
+
+
+def _nested_gcis(rng):
+    """One or two surface GCIs over A, B, C and r, s with nested & and
+    exists, so that normalization adds fresh names."""
+    names, roles = ["A", "B", "C"], ["r", "s"]
+
+    def concept(depth):
+        k = rng.random()
+        if depth == 0 or k < 0.35:
+            return rng.choice(names)
+        if k < 0.65:
+            return And(concept(depth - 1), concept(depth - 1))
+        return Exists(Role(rng.choice(roles), rng.random() < 0.3), concept(depth - 1))
+
+    return [Gci(concept(2), concept(2)) for _ in range(rng.randint(1, 2))]
+
+
+def test_an_order_of_the_kbs_own_names_completes_to_its_least_admissible_map():
+    rng = Random(2026)
+    accepted = rejected = 0
+    while accepted < 100 or rejected < 100:
+        tbox, fresh = normalize(_nested_gcis(rng))
+        if not 1 <= len(fresh) <= 3:
+            continue
+        fresh = sorted(fresh)
+        own = sorted((set(tbox.concept_names) | set(tbox.role_names)) - set(fresh))
+        order = {n: rng.randint(0, 2) for n in own}
+        top = max(order.values(), default=0) + len(fresh)
+        completions = []
+        for values in itertools.product(range(top + 1), repeat=len(fresh)):
+            h = {**order, **dict(zip(fresh, values))}
+            if order_admits(tbox, h):
+                completions.append(h)
+        try:
+            got, notes = heights_for(tbox, order, fresh)
+        except NotStratifiedError:
+            assert not completions
+            rejected += 1
+            continue
+        assert got in completions and notes == ()
+        assert all(got[n] <= h[n] for h in completions for n in fresh)
+        accepted += 1
 
 
 # -- restrict -------------------------------------------------------------------
@@ -321,4 +354,5 @@ def test_level_closure_stays_free_of_a_bot_only_a_higher_level_reaches():
     levels = LevelMap(tbox, heights_for(tbox, kb.order)[0])
     assert levels.closer_at(0).closure({"A"}) == {"A", TOP}
     # over the whole TBox, A's r-successor B spawns F, and Bot floods
-    assert TypeCloser(tbox).closure({"A"}) == tbox.con_names()
+    assert tbox.bot_occurs
+    assert TypeCloser(tbox).closure({"A"}) == {TOP, BOT, *tbox.concept_names}
