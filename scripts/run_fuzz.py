@@ -4,9 +4,11 @@
 Each row generates `--cases` random stratified KBs of the given size class,
 answers every instance query with the collapsed engine, the faithful product
 search (with and without premise weakening), and the saturation oracle, and
-validates every witness.  Odd-numbered cases run on the drawn height map as a
-user order; `top` is the highest level a query was evaluated at.  Any
-disagreement is printed verbatim.
+for every true answer validates both engines' witnesses and replays the
+oracle's derivation trace; the `witnesses` column counts all three.
+Odd-numbered cases run on the drawn height map as a user order; `top` is the
+highest level a query was evaluated at.  Any disagreement is printed
+verbatim.
 """
 
 import argparse

@@ -8,7 +8,9 @@ The harness then runs every (concept, individual) instance query through the
 collapsed engine, the faithful product search (with and without premise
 weakening), and the saturation oracle, all behind the same consistency
 pre-check, and reports any disagreement with a reproducible case seed and
-the offending KB verbatim.
+the offending KB verbatim.  With witness validation, every true answer also
+has both engines' witnesses validated and the oracle's derivation trace
+replayed; a rejected trace is a ``{"trace": message}`` failure.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .kb import (
     format_kb,
     kb_from_normal,
 )
+from .saturate import replay_derivation
 from .stratify import check_stratification, verify_preorder
 
 # Names are drawn as a prefix of the pool, so a class with few names draws
@@ -230,7 +233,8 @@ def run_case(
 ):
     """One differential case; returns (query count, failures, witness count,
     highest level evaluated).  An odd `case` runs on the drawn height map,
-    which reaches levels the minimal heights never do."""
+    which reaches levels the minimal heights never do.  The witness count
+    covers the two engines' witnesses and the oracle's replayed trace."""
     rng = Random(case_seed)
     tbox, abox, drawn = random_stratified_kb(
         rng, max_concepts, max_roles, max_individuals, max_gcis, max_height
@@ -288,7 +292,14 @@ def run_case(
                 except KbError as exc:
                     fail(concept, ind, {"witness": str(exc)})
                     continue
-                witnesses += 2
+                try:
+                    trace = ev.oracle(concept, ind, want_trace=True)[1]
+                    if not replay_derivation(tbox, abox, trace, concept, ind):
+                        raise KbError(f"the trace does not derive {concept}({ind})")
+                except (KbError, AssertionError) as exc:  # the builder asserts its records
+                    fail(concept, ind, {"trace": str(exc)})
+                    continue
+                witnesses += 3
     return queries, failures, witnesses, top
 
 

@@ -33,18 +33,19 @@ the trigger index every ``TBox`` builds with its rule views (as ELK does):
 per bit, the subs, the conjs and the existential heads ("spawns") whose lhs
 or successor seed reads it.  A call is told which bits of the type are new;
 by default all are.  The callers then re-run semi-naively: a ``TypeCloser``
-worklist re-run or a staged round starts from a type already closed under
-sub and conj, passes no new bits, and so only re-evaluates the spawns,
-whose successor types may have grown; ``saturate_abox`` passes only the
-bits pushed across edges since the individual was last closed, and pushes
-only the existential bodies whose filler is new at the individual.
+worklist re-run starts from a type already closed under sub and conj,
+passes no new bits, and so only re-evaluates the spawns, whose successor
+types may have grown; ``saturate_abox`` passes only the bits pushed across
+edges since the individual was last closed, and pushes only the existential
+bodies whose filler is new at the individual.
 
-Both record, for every derived fact, the rule application that first produced
-it, so a full derivation (a replayable sequence of single rule applications)
-can be reconstructed for any entailed query over a consistent KB.  Inside the
-anonymous part the records are kept per Kleene stage: a stage-k fact only
-ever cites stage-(k-1) successor types, which keeps reconstruction
-well-founded even when successor seeds repeat.
+Both record, for every derived fact, the rule application that first
+produced it (a ``TypeCloser`` only when it closes the whole TBox), so a full
+derivation (a replayable sequence of single rule applications) can be
+reconstructed for any entailed query over a consistent KB.  A record cites
+only facts present when it was made: premises already in the type, and
+bits already in a successor context's type.  Following records back thus
+always ends, at any anonymous depth and even when successor seeds repeat.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ from .kb import (
 _TOP_BIT = 1  # 1 << bit_of[Top], fixed by TBox construction
 _BOT_BIT = 2  # 1 << bit_of[Bot]
 
-_STAGE_LIMIT = 10_000
-
 
 def _bits(mask: int):
     """The set bits of `mask`, lowest first, each as a one-bit mask."""
@@ -79,15 +78,14 @@ def _bits(mask: int):
         yield low
 
 
-def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None, _new=None) -> int:
+def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> int:
     """Close one node's type `cur` under the sub, conj and existential rules.
 
     `child_of(seed)` gives the type of the anonymous successor an existential
     head spawns with that seed; without it only sub and conj fire.  When Bot
-    enters the type it becomes `flood`.  With a `justs` dict, the first rule
-    application adding each bit is recorded there; anonymous ones carry
-    `stage`, the round whose successor types `child_of` returns (None for
-    final types).
+    enters the type it becomes `flood`.  With a `justs` dict, the rule
+    application adding each bit is recorded there, keyed by the bit; bits
+    already in `cur` keep the records they have.
 
     Rules are found through ``tbox.triggers``: a rule is looked at only when
     a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
@@ -144,7 +142,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None, _n
             if child & _BOT_BIT and not cur & _BOT_BIT:
                 cur |= _BOT_BIT
                 if justs is not None:
-                    justs[_BOT_BIT] = ("anon_bot", exr, _seed_pairs(back, parent), seed, stage)
+                    justs[_BOT_BIT] = ("anon_bot", exr, _seed_pairs(back, parent), seed)
             if not child & fwd_mask:
                 continue
             for f2, r2, exl in fwd:
@@ -152,7 +150,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, stage=None, _n
                     cur |= r2
                     pending |= r2 & body
                     if justs is not None:
-                        justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed, stage)
+                        justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed)
         if not pending:
             break
     if cur & _BOT_BIT:
@@ -178,6 +176,13 @@ class TypeCloser:
     name a rule here reads (the argument is in ``stratify.LevelMap``).  Only
     seeds whose shared type holds Bot become contexts here, since a rule
     missing from `tbox` may be what derives that Bot.
+
+    A closer built without `shared` closes the whole TBox, and a trace reads
+    its contexts; it keeps, per context, the rule application that first
+    added each bit (``justs``): at the root, at a new seed, and at every
+    worklist re-run.  A level closer keeps none.  An existential record cites
+    a successor bit that its context held already, so its own record is
+    older: following records back always ends.
     """
 
     def __init__(self, tbox: TBox, extra_flood_mask: int = 0, shared: "TypeCloser" = None):
@@ -186,8 +191,7 @@ class TypeCloser:
         self.flood_mask = tbox.signature_mask | _TOP_BIT | _BOT_BIT | extra_flood_mask
         self._vals: Dict[int, int] = {}
         self._rdeps: Dict[int, set] = {}
-        self._stage_vals: Dict[tuple, int] = {}
-        self._stage_justs: Dict[tuple, dict] = {}
+        self._justs: Optional[Dict[int, dict]] = {} if shared is None else None
 
     # -- public -----------------------------------------------------------
 
@@ -203,7 +207,7 @@ class TypeCloser:
             return got
         tbox, shared = self.tbox, self.shared
         if shared is None or not tbox.spawns:
-            self._vals[mask] = _fire(tbox, mask, None, self.flood_mask)
+            self._vals[mask] = _fire(tbox, mask, None, self.flood_mask, self._record(mask))
             if tbox.spawns:  # else no context has successors to read
                 self._run_worklist([mask])
             return self._vals[mask]
@@ -228,7 +232,19 @@ class TypeCloser:
         """How many contexts (roots and successor seeds) have a type here."""
         return len(self._vals)
 
+    def justs(self, mask: int) -> dict:
+        """Per bit of a context's type, the rule application that first added
+        it; the context's own premise bits have none.  Only a closer without
+        `shared` keeps them."""
+        return self._justs[mask | _TOP_BIT]
+
     # -- fixpoint ---------------------------------------------------------
+
+    def _record(self, mask: int) -> Optional[dict]:
+        """Where the context's rule applications go, if this closer keeps them."""
+        if self._justs is None:
+            return None
+        return self._justs.setdefault(mask, {})
 
     def _run_worklist(self, roots):
         tbox, flood, shared = self.tbox, self.flood_mask, self.shared
@@ -243,7 +259,7 @@ class TypeCloser:
                     return v
             v = self._vals.get(seed)
             if v is None:
-                v = self._vals[seed] = _fire(tbox, seed, None, flood)
+                v = self._vals[seed] = _fire(tbox, seed, None, flood, self._record(seed))
                 fresh.append(seed)
             self._rdeps.setdefault(seed, set()).add(user)
             return v
@@ -252,7 +268,9 @@ class TypeCloser:
             m = queue.popleft()
             queued.discard(m)
             before = self._vals[m]
-            after = _fire(tbox, before, lambda seed, m=m: dep(seed, m), flood, _new=0)
+            after = _fire(
+                tbox, before, lambda seed, m=m: dep(seed, m), flood, self._record(m), _new=0
+            )
             for s in fresh:
                 if s not in queued:
                     queue.append(s)
@@ -268,50 +286,6 @@ class TypeCloser:
                 if m not in queued:
                     queue.append(m)
                     queued.add(m)
-
-    # -- staged views (justifications / traces) -----------------------------
-
-    def _stage_val(self, mask: int, k: int, build_justs: bool = False) -> int:
-        """The context's type after k rounds of successor reasoning."""
-        mask |= _TOP_BIT
-        key = (mask, k)
-        got = self._stage_vals.get(key)
-        if got is not None and (not build_justs or key in self._stage_justs):
-            return got
-        justs = None
-        if k == 0:
-            cur, child_of, new = mask, None, None
-            if build_justs:
-                justs = {bit: ("seed",) for bit in _bits(mask)}
-        else:
-            # round k-1's type is closed under sub and conj already
-            cur, new = self._stage_val(mask, k - 1, build_justs), 0
-            if build_justs:
-                justs = dict(self._stage_justs[(mask, k - 1)])
-
-            def child_of(seed):
-                return self._stage_val(seed, k - 1, build_justs)
-
-        cur = _fire(self.tbox, cur, child_of, self.flood_mask, justs, k - 1, new)
-        self._stage_vals[key] = cur
-        if build_justs:
-            self._stage_justs[key] = justs
-        return cur
-
-    def stable_stage(self, mask: int) -> int:
-        """The smallest round count after which the context's type is final."""
-        final = self.closure_mask(mask)
-        k = 0
-        while self._stage_val(mask, k) != final:
-            k += 1
-            if k > _STAGE_LIMIT:
-                raise AssertionError("staged closure failed to stabilize")
-        return k
-
-    def justs_at(self, mask: int, stage: int) -> dict:
-        """Per concept bit, the rule application deriving it by that stage."""
-        self._stage_val(mask, stage, build_justs=True)
-        return self._stage_justs[(mask | _TOP_BIT, stage)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +316,13 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     child_of, flood = closer.closure_mask, closer.flood_mask
     bit_of = tbox.bit_of
     labels = {}
-    justs = {}
+    justs = {a: {} for a in abox.individuals}
     for a in abox.individuals:
         m = _TOP_BIT
-        justs[a] = {}
         for c in abox.asserted[a]:
             bit = bit_of.get(c)
             if bit is not None:
                 m |= 1 << bit
-                justs[a][1 << bit] = ("init",)
         labels[a] = m
 
     # `exists r . F <= B` holds at every r-neighbour of an F individual,
@@ -373,7 +345,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     while queue:
         a = queue.popleft()
         queued.discard(a)
-        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a], None, new_bits[a])
+        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a], new_bits[a])
         new_bits[a] = 0
         if cur & _BOT_BIT and not inconsistent:
             inconsistent = True
@@ -460,11 +432,12 @@ class _TraceBuilder:
             if x[0] == "concept":
                 self.have_c.add((x[1], x[2]))
 
-    def ensure(self, c, node, ctx):
-        """Derive concept c at `node`; ctx identifies where justs live.  Each
-        ``_derive`` yields the premises it needs, in order, to a stack that
-        stands in for recursion: a derivation may outgrow the recursion limit."""
-        stack = [self._derive(c, node, ctx)]
+    def ensure(self, c, node, justs):
+        """Derive concept c at `node`, whose rule applications `justs` records.
+        Each ``_derive`` yields the premises it needs, in order, to a stack
+        that stands in for recursion: a derivation may outgrow the recursion
+        limit."""
+        stack = [self._derive(c, node, justs)]
         while stack:
             need = next(stack[-1], None)
             if need is None:
@@ -472,30 +445,23 @@ class _TraceBuilder:
             else:
                 stack.append(self._derive(*need))
 
-    def _derive(self, c, node, ctx):
+    def _derive(self, c, node, justs):
         if c == TOP or (c, node) in self.have_c:
             return
-        bit = 1 << self.tbox.bit_of[c]
-        if ctx[0] == "named":
-            just = self.sat.justs[node][bit]
-        else:
-            _, seed, stage = ctx
-            just = self.closer.justs_at(seed, stage)[bit]
+        just = justs.get(1 << self.tbox.bit_of[c])
+        if just is None:
+            raise AssertionError(f"no rule application derives {c} at {node}")
         kind = just[0]
-        if kind == "init":
-            return
-        if kind == "seed":
-            raise AssertionError(f"seed concept {c} at {node} was not materialized")
         if kind in ("exfalso", "anon_bot"):
             raise KbError("derivation traces are only produced for consistent KBs")
         if kind == "sub":
             ax = just[1]
-            yield ax.lhs, node, ctx
+            yield ax.lhs, node, justs
             self.step(ax, node, [("concept", c, node)], [("concept", ax.lhs, node)])
         elif kind == "conj":
             ax = just[1]
-            yield ax.lhs1, node, ctx
-            yield ax.lhs2, node, ctx
+            yield ax.lhs1, node, justs
+            yield ax.lhs2, node, justs
             self.step(
                 ax,
                 node,
@@ -504,7 +470,7 @@ class _TraceBuilder:
             )
         elif kind == "edge":
             ax, nb = just[1], just[2]
-            yield ax.filler, nb, ("named", nb)
+            yield ax.filler, nb, self.sat.justs[nb]
             self.step(
                 ax,
                 node,
@@ -512,10 +478,9 @@ class _TraceBuilder:
                 [("role", ax.role, node, nb), ("concept", ax.filler, nb)],
             )
         elif kind == "anon":
-            exr, exl, seed_pairs, seed = just[1], just[2], just[3], just[4]
-            stage = just[5] if just[5] is not None else self.closer.stable_stage(seed)
-            child = yield from self._spawn(exr, seed_pairs, node, ctx)
-            yield exl.filler, child, ("anon", seed, stage)
+            _, exr, exl, seed_pairs, seed = just
+            child = yield from self._spawn(exr, seed_pairs, node, justs)
+            yield exl.filler, child, self.closer.justs(seed)
             self.step(
                 exl,
                 node,
@@ -525,10 +490,10 @@ class _TraceBuilder:
         else:
             raise AssertionError(f"unknown justification {just!r}")
 
-    def _spawn(self, exr, seed_pairs, node, ctx):
+    def _spawn(self, exr, seed_pairs, node, justs):
         """Materialize the anonymous successor exr creates below `node`; a
         generator like ``_derive``, returning the successor."""
-        yield exr.lhs, node, ctx
+        yield exr.lhs, node, justs
         child = self.fresh_ind()
         self.step(
             exr,
@@ -537,7 +502,7 @@ class _TraceBuilder:
             [("concept", exr.lhs, node)],
         )
         for exl2, _ in seed_pairs:
-            yield exl2.filler, node, ctx
+            yield exl2.filler, node, justs
             self.step(
                 exl2,
                 child,
@@ -579,7 +544,7 @@ def oracle_entails(
     if concept in abox.asserted[ind]:
         return True, []
     builder = _TraceBuilder(tbox, abox, sat, closer)
-    builder.ensure(concept, ind, ("named", ind))
+    builder.ensure(concept, ind, sat.justs[ind])
     return True, builder.steps
 
 

@@ -317,6 +317,22 @@ def test_oracle_trace_longer_than_the_recursion_limit(tmp_path, capsys):
     assert out[-1] == "step 1100: apply 'C1099 <= C1100' at a: add C1100(a) using C1099(a)"
 
 
+def test_oracle_trace_through_an_anonymous_chain_deeper_than_the_recursion_limit(
+    tmp_path, capsys
+):
+    # Q1100(a) needs a chain of 1,100 anonymous r-successors below a
+    p = tmp_path / "deep.kb"
+    axioms = "".join(f"exists r . Q{i} <= Q{i + 1}\n" for i in range(1, 1100))
+    p.write_text(
+        f"tbox:\nA <= exists r . A\nexists r . A <= Q1\n{axioms}abox:\nA(a)\n",
+        encoding="utf-8",
+    )
+    assert main(["oracle", str(p), "--ask", "Q1100(a)", "--trace"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["answer: true", "steps: 2200"]
+    assert out[-1].startswith("step 2200: apply 'exists r . Q1099 <= Q1100' at a: add Q1100(a)")
+
+
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "latin1.kb"
     p.write_bytes("tbox:\nA <= B  # caf\xe9\nabox:\nA(a)\n".encode("latin-1"))

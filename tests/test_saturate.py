@@ -202,6 +202,21 @@ def test_a_trace_longer_than_the_recursion_limit_replays():
     assert replay_derivation(tbox, abox, trace, f"C{steps}", "a")
 
 
+def test_a_trace_through_anonymous_successors_deeper_than_the_recursion_limit():
+    # Q1100(a) needs 1,100 nested anonymous A-successors: the innermost
+    # gets Q1 from its own A-successor, and each Q climbs one level up
+    depth = 1100
+    r = Role("r")
+    axioms = [ExRight("A", r, "A"), ExLeft(r, "A", "Q1")]
+    axioms += [ExLeft(r, f"Q{i}", f"Q{i + 1}") for i in range(1, depth)]
+    tbox = TBox(axioms)
+    abox = AboxGraph(concept_asserts=[("A", "a")])
+    ans, trace = oracle_entails(tbox, abox, f"Q{depth}", "a", want_trace=True)
+    assert ans and len(trace) == 2 * depth
+    assert sum(isinstance(st.axiom, ExRight) for st in trace) == depth
+    assert replay_derivation(tbox, abox, trace, f"Q{depth}", "a")
+
+
 def test_oracle_no_axioms_no_entailment():
     tbox = TBox([], extra_concepts=("A", "B"))
     abox = AboxGraph(concept_asserts=[("A", "a")])
@@ -284,7 +299,7 @@ def test_trace_through_seeded_anonymous_context():
 
 def test_trace_when_successor_contexts_repeat():
     # every A-node spawns an A-child with the same seed, so the anonymous
-    # contexts form a cycle; the per-round bookkeeping must still produce a
+    # contexts form a cycle; following the records must still end in a
     # finite derivation (grandchild feeds child feeds root)
     tbox = TBox(
         [
