@@ -49,7 +49,7 @@ reaches every sub-premise without a transition per subset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 from .kb import BOT, TOP, KbError, Role, TBox
 from .stratify import LevelMap
@@ -111,15 +111,14 @@ class _Family:
         self.levels = levels
         self.include_weak = include_weak
         self.materialized = 0
-        self._nfas: Dict[Tuple[str, int], "NestedNfa"] = {}
+        self._nfas: Dict[str, "NestedNfa"] = {}
 
-    def automaton(self, concept: str, level: int = None) -> "NestedNfa":
-        if level is None:
-            level = self.levels.height(concept)
-        key = (concept, level)
-        if key not in self._nfas:
-            self._nfas[key] = NestedNfa(self, concept, level)
-        return self._nfas[key]
+    def automaton(self, concept: str) -> "NestedNfa":
+        """The automaton of `concept`, at its height level."""
+        got = self._nfas.get(concept)
+        if got is None:
+            got = self._nfas[concept] = NestedNfa(self, concept, self.levels.height(concept))
+        return got
 
 
 class NestedNfa:
@@ -131,12 +130,13 @@ class NestedNfa:
         self.level = level
         self.include_weak = family.include_weak
         self.tbox = family.tbox
-        self.level_rules = family.levels.rules_at(level)
+        levels = family.levels
+        self.level_rules = levels.rules_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
-        # alphabet pieces, from the level map's per-height names
-        bot = (BOT,) if self.level_rules.bot_occurs else ()
-        self.con_names = (TOP, *family.levels.concepts_at(level), *bot)
-        self.lower_names = family.levels.concepts_at(level - 1)
+        # alphabet pieces, from the level map's per-height names and con(T|n)
+        bot = (BOT,) if levels.con_mask(level) & self.tbox.bot_bit else ()
+        self.con_names = (TOP, *levels.concepts_at(level), *bot)
+        self.lower_names = levels.concepts_at(level - 1)
         self._succ: Dict[AutState, tuple] = {}
         self._states = None
         self._transitions = None
@@ -228,27 +228,23 @@ class NestedNfa:
 
 
 def build_automaton(
-    tbox: TBox,
-    heights: dict,
-    concept: str,
-    include_weak: bool = False,
-    level: int = None,
+    tbox: TBox, heights: dict, concept: str, include_weak: bool = False
 ) -> NestedNfa:
     """Build the rewriting automaton for `concept` at its height level.
 
     `heights` must come from an accepted stratification check or a verified
     user order, as ``compile_kb``'s do.  Querying a name the TBox never
-    mentions is allowed: it is adjoined to the signature at height 0, where
-    only its own assertion can prove it.  `level` overrides the automaton's
-    level, as in the whole-TBox Bot automaton; the automaton consistency
-    check runs the collapsed search for Bot at the top level instead, which
-    needs no automaton.
+    mentions is allowed: it is adjoined to the signature at its height in
+    `heights` (0 if it has none), where only its own assertion can prove it.
+    Bot's automaton sits at level 0; the automaton consistency check runs
+    the collapsed search for Bot at the top level instead, which needs no
+    automaton.
     """
     if concept not in (TOP, BOT) and concept not in tbox.bit_of:
         tbox = TBox(tbox.axioms, extra_concepts=(concept,))
         heights = dict(heights)
         heights.setdefault(concept, 0)
-    return _Family(LevelMap(tbox, heights), include_weak).automaton(concept, level)
+    return _Family(LevelMap(tbox, heights), include_weak).automaton(concept)
 
 
 # ---------------------------------------------------------------------------

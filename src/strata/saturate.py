@@ -85,7 +85,9 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
     head spawns with that seed; without it only sub and conj fire.  When Bot
     enters the type it becomes `flood`.  With a `justs` dict, the rule
     application adding each bit is recorded there, keyed by the bit; bits
-    already in `cur` keep the records they have.
+    already in `cur` keep the records they have.  Bot, and the bits its
+    flood adds, get none: no trace reads a type that holds Bot (see
+    ``oracle_entails``).
 
     Rules are found through ``tbox.triggers``: a rule is looked at only when
     a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
@@ -139,10 +141,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
                 if parent & f2:
                     seed |= r2
             child = child_of(seed)
-            if child & _BOT_BIT and not cur & _BOT_BIT:
-                cur |= _BOT_BIT
-                if justs is not None:
-                    justs[_BOT_BIT] = ("anon_bot", exr, _seed_pairs(back, parent), seed)
+            cur |= child & _BOT_BIT
             if not child & fwd_mask:
                 continue
             for f2, r2, exl in fwd:
@@ -153,12 +152,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
                         justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed)
         if not pending:
             break
-    if cur & _BOT_BIT:
-        if justs is not None:
-            for bit in _bits(flood & ~cur):
-                justs.setdefault(bit, ("exfalso",))
-        return flood
-    return cur
+    return flood if cur & _BOT_BIT else cur
 
 
 def _seed_pairs(back, parent: int) -> tuple:
@@ -169,7 +163,11 @@ def _seed_pairs(back, parent: int) -> tuple:
 class TypeCloser:
     """Entailed concepts of a single node, memoized per premise set.
 
-    `tbox` is a ``TBox`` or a ``stratify.LevelRules`` view of one.  With a
+    `tbox` is a ``TBox`` or a ``stratify.LevelRules`` view of one.  When
+    Bot enters a type, the type becomes `flood_mask` plus Top and Bot; by
+    default that is the TBox signature, and a level closer passes con(T|n)
+    (``stratify.LevelMap.con_mask``), since a level view has no signature
+    of its own.  With a
     `shared` closer, over a TBox that `tbox` is a level restriction of, a
     successor seed takes its type from `shared` whenever that type is
     Bot-free: it is then final, and agrees with this TBox's type on every
@@ -185,10 +183,11 @@ class TypeCloser:
     older: following records back always ends.
     """
 
-    def __init__(self, tbox: TBox, extra_flood_mask: int = 0, shared: "TypeCloser" = None):
+    def __init__(self, tbox: TBox, flood_mask: int = None, shared: "TypeCloser" = None):
         self.tbox = tbox
         self.shared = shared
-        self.flood_mask = tbox.signature_mask | _TOP_BIT | _BOT_BIT | extra_flood_mask
+        sig = tbox.signature_mask if flood_mask is None else flood_mask
+        self.flood_mask = sig | _TOP_BIT | _BOT_BIT
         self._vals: Dict[int, int] = {}
         self._rdeps: Dict[int, set] = {}
         self._justs: Optional[Dict[int, dict]] = {} if shared is None else None
@@ -405,12 +404,20 @@ class DerivationStep:
 
 
 class _TraceBuilder:
+    """Turns the rule applications the saturation recorded into steps.
+
+    An anonymous successor is materialized once per (node, spawning axiom,
+    seed) and reused by every existential record that names the same
+    triple: its seed, hence its context and type, is the same each time.
+    """
+
     def __init__(self, tbox, abox, sat, closer):
         self.tbox = tbox
         self.abox = abox
         self.sat = sat
         self.closer = closer
         self.steps = []
+        self.successors = {}  # (node, spawning axiom, seed) -> successor
         self.have_c = set()
         self.have_ind = set(abox.individuals)
         self.counter = 0
@@ -452,8 +459,6 @@ class _TraceBuilder:
         if just is None:
             raise AssertionError(f"no rule application derives {c} at {node}")
         kind = just[0]
-        if kind in ("exfalso", "anon_bot"):
-            raise KbError("derivation traces are only produced for consistent KBs")
         if kind == "sub":
             ax = just[1]
             yield ax.lhs, node, justs
@@ -479,7 +484,10 @@ class _TraceBuilder:
             )
         elif kind == "anon":
             _, exr, exl, seed_pairs, seed = just
-            child = yield from self._spawn(exr, seed_pairs, node, justs)
+            child = self.successors.get((node, exr, seed))
+            if child is None:
+                child = yield from self._spawn(exr, seed_pairs, node, justs)
+                self.successors[node, exr, seed] = child
             yield exl.filler, child, self.closer.justs(seed)
             self.step(
                 exl,

@@ -383,12 +383,12 @@ def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
 class LevelRules:
     """T|n's rule views, filtered out of the whole TBox's compiled tuples.
 
-    It offers what the rule kernel, ``TypeCloser`` and the automata read off
-    a ``TBox`` (``triggers``, ``body_mask``, ``spawns``, ``signature_mask``,
-    ``bot_occurs``, ``role_names``, ``by_rhs``, ``mask_of``, ``names_of``),
-    equal to those of ``restrict(T, h, n)``, in the same order, without
-    building that TBox.  A spawn keeps only the existential bodies of T|n in
-    its ``back`` and ``fwd`` lists.
+    It offers what the rule kernel, the goal moves and the export read off a
+    ``TBox`` (``triggers``, ``body_mask``, ``spawns``, ``by_rhs``,
+    ``role_names``, ``mask_of``, ``names_of``), equal to those of
+    ``restrict(T, h, n)``, in the same order, without building that TBox.
+    A spawn keeps only the existential bodies of T|n in its ``back`` and
+    ``fwd`` lists.  The level's signature is ``LevelMap.con_mask``'s.
     """
 
     def __init__(self, tbox: TBox, level_of: Dict[NormGci, int], n: int):
@@ -402,18 +402,7 @@ class LevelRules:
         exlefts = [x for x in tbox.exlefts if keep(x[3])]
         heads = [x[:3] for x in tbox.spawns if keep(x[2])]
         self.spawns, self.triggers, self.body_mask = rule_index(subs, conjs, exlefts, heads)
-        sig = tbox.top_bit
-        roles = set()
-        for body, rbit, _ in subs + conjs:
-            sig |= body | rbit
-        for role, fbit, rbit, _ in exlefts:
-            sig |= fbit | rbit
-            roles.add(role.name)
-        for lbit, fbit, ax in heads:
-            sig |= lbit | fbit
-            roles.add(ax.role.name)
-        self.signature_mask = sig
-        self.bot_occurs = bool(sig & tbox.bot_bit)
+        roles = {x[0].name for x in exlefts} | {x[2].role.name for x in heads}
         self.role_names = tuple(sorted(roles))
         self._rhs: Dict[str, tuple] = {}
 
@@ -426,54 +415,64 @@ class LevelRules:
 
 
 class LevelMap:
-    """Per-level views of a stratified TBox: rule views, concept masks,
-    type closers and the goal moves every engine shares.
+    """Per-level views of a stratified TBox: concept masks, rule views, type
+    closers and the goal moves every engine shares.
 
-    ``con(T|n)`` is taken as the TBox concept names of height at most n
-    (plus Top, plus Bot when Bot occurs at that level): a name of low height
-    may occur only inside higher-level axioms, yet its tests must already be
-    available to the low-level automata.
+    ``con(T|n)`` is taken as the TBox concept names of height at most n,
+    plus Top, plus Bot from the lowest level whose axioms mention it: a name
+    of low height may occur only inside higher-level axioms, yet its tests
+    must already be available to the low-level automata.  Every level's mask
+    is built at construction, with the names sorted by height.  Each level
+    has one view, T|n's rules (``LevelRules``) and closer, built on first
+    use; the top level's is ``(tbox, closer)`` from the start.
 
-    Every level's closure shares one ``TypeCloser`` over the whole TBox,
-    ``closer``, which the saturation pre-check fills too.  A level-n root
-    fires T|n's rules (``rules_at``) itself and takes each anonymous
-    successor's type from ``closer``.  That is exact when the shared type is
-    Bot-free.  Take a rule deriving a name X of con(T|n), X not Bot.  The
-    clauses of ``_clauses`` put the head of a sub, conj or existential body
-    at the top of its axiom, so the axiom lies in T|n and its body reads
-    names of con(T|n).  An existential body reads them across a role of
-    height at most n, and a spawn over such a role lies in T|n as well (its
-    role tops it).  By induction on the derivation, a name of con(T|n) at
-    the root, or at a successor a spawn of T|n creates, is derived by T|n's
-    rules alone, from such names.  So a Bot-free shared type, read on the
-    names T|n's rules read, is the successor's T|n type, and the names above
-    n that the whole TBox adds to its seed change nothing.  Bot breaks the
-    induction: a rule above n, say a spawn over a high role, can reach a low
-    ``F <= Bot``, and Bot floods the whole type.  So a seed whose shared
-    type holds Bot is closed under T|n's rules instead, as a context of the
-    level's own closer (``TypeCloser`` with ``shared``).  At the top level
-    T|n is the whole TBox, and ``closer`` serves it directly.
+    Every level's closure shares that whole-TBox ``closer``, which the
+    saturation pre-check fills too.  A level-n root fires T|n's rules
+    itself and takes each anonymous successor's type from ``closer``.  That
+    is exact when the shared type is Bot-free.  Take a rule deriving a name
+    X of con(T|n), X not Bot.  The clauses of ``_clauses`` put the head of a
+    sub, conj or existential body at the top of its axiom, so the axiom lies
+    in T|n and its body reads names of con(T|n).  An existential body reads
+    them across a role of height at most n, and a spawn over such a role
+    lies in T|n as well (its role tops it).  By induction on the derivation,
+    a name of con(T|n) at the root, or at a successor a spawn of T|n
+    creates, is derived by T|n's rules alone, from such names.  So a
+    Bot-free shared type, read on the names T|n's rules read, is the
+    successor's T|n type, and the names above n that the whole TBox adds to
+    its seed change nothing.  Bot breaks the induction: a rule above n, say
+    a spawn over a high role, can reach a low ``F <= Bot``, and Bot floods
+    the whole type.  So a seed whose shared type holds Bot is closed under
+    T|n's rules instead, as a context of the level's own closer
+    (``TypeCloser`` with ``shared``), where Bot floods a type to con(T|n).
     """
 
     def __init__(self, tbox: TBox, heights: Dict[str, int]):
         self.tbox = tbox
         self.heights = heights
-        # the level of each of tbox.axioms, computed once for every view
-        self._axiom_levels = tuple(axiom_level(ax, heights) for ax in tbox.axioms)
-        self.max_level = max(self._axiom_levels, default=0)
+        self._level_of = {ax: axiom_level(ax, heights) for ax in tbox.axioms}
+        self.max_level = max(self._level_of.values(), default=0)
+        bot_from = min(
+            (n for ax, n in self._level_of.items() if BOT in axiom_names(ax)[0]),
+            default=self.max_level + 1,
+        )
         self.closer = TypeCloser(tbox)
-        self._level_of: Optional[Dict[NormGci, int]] = None
-        self._rules: Dict[int, LevelRules] = {}
-        self._con_masks = []  # per level: Top and the names of height <= it
-        self._closers: Dict[int, TypeCloser] = {}
+        self._views = {self.max_level: (tbox, self.closer)}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
-        # per height, its concept names as (name, bit) pairs, by name
+        # per height, its concept names as (name, bit) pairs, by name; a
+        # name ``build_automaton`` adjoins keeps its order height, which may
+        # lie above every axiom
         top = max([self.max_level, *(heights.get(c, 0) for c in tbox.concept_names)])
         self.by_height = tuple([] for _ in range(top + 1))
         for c in tbox.concept_names:
             self.by_height[heights.get(c, 0)].append((c, 1 << tbox.bit_of[c]))
+        # per level up to the top, con(T|n) as a mask
+        masks, mask = [], tbox.top_bit
+        for n in range(self.max_level + 1):
+            mask |= sum(bit for _, bit in self.by_height[n])
+            masks.append(mask | (tbox.bot_bit if n >= bot_from else 0))
+        self._con_masks = tuple(masks)
         self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
 
     def height(self, name: str) -> int:
@@ -481,27 +480,26 @@ class LevelMap:
             return 0
         return self.heights.get(name, 0)
 
-    def rules_at(self, n: int):
-        """T|n's rule views (see ``LevelRules``), built on first use; at the
-        top level, the whole TBox."""
+    def _view(self, n: int):
+        """T|n's ``(rules, closer)``, built on first use; above the top
+        level, the top level's."""
         n = min(n, self.max_level)
-        if n == self.max_level:
-            return self.tbox
-        got = self._rules.get(n)
+        got = self._views.get(n)
         if got is None:
-            if self._level_of is None:
-                self._level_of = dict(zip(self.tbox.axioms, self._axiom_levels))
-            got = self._rules[n] = LevelRules(self.tbox, self._level_of, n)
+            rules = LevelRules(self.tbox, self._level_of, n)
+            closer = TypeCloser(rules, self.con_mask(n), shared=self.closer)
+            got = self._views[n] = (rules, closer)
         return got
 
+    def rules_at(self, n: int):
+        """T|n's rule views (see ``LevelRules``); at the top level, the whole
+        TBox, and at level -1 the empty T|-1."""
+        return self._view(n)[0]
+
     def con_mask(self, n: int) -> int:
-        """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present."""
-        n = min(n, self.max_level)
-        masks = self._con_masks
-        while len(masks) <= n:
-            below = masks[-1] if masks else self.tbox.top_bit
-            masks.append(below | sum(bit for _, bit in self.by_height[len(masks)]))
-        return masks[n] | (self.tbox.bot_bit if self.rules_at(n).bot_occurs else 0)
+        """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present;
+        just Top below level 0."""
+        return self._con_masks[min(n, self.max_level)] if n >= 0 else self.tbox.top_bit
 
     def concepts_at(self, n: int):
         """Concept names of height <= n (no Top/Bot), lowest first."""
@@ -510,20 +508,12 @@ class LevelMap:
     def closer_at(self, n: int) -> TypeCloser:
         """The closer of T|n, whose successor types come from ``closer``;
         Bot floods a type to con(T|n)."""
-        n = min(n, self.max_level)
-        if n == self.max_level:
-            return self.closer
-        closer = self._closers.get(n)
-        if closer is None:
-            closer = self._closers[n] = TypeCloser(
-                self.rules_at(n), extra_flood_mask=self.con_mask(n), shared=self.closer
-            )
-        return closer
+        return self._view(n)[1]
 
     def closure_contexts(self) -> int:
         """Contexts the closers hold: the shared ones plus every level's
         roots and Bot-holding seeds."""
-        return self.closer.contexts() + sum(c.contexts() for c in self._closers.values())
+        return sum(closer.contexts() for _, closer in self._views.values())
 
     def goal_moves(self, level: int, premise_mask: int, goal_bit: int):
         """The moves replacing the goal of a (premise, goal) state at
@@ -547,10 +537,10 @@ class LevelMap:
         key = (level, premise_mask, goal_bit)
         got = self._moves.get(key)
         if got is None:
-            level = min(level, self.max_level)
+            rules, closer = self._view(level)
             bit_of = self.tbox.bit_of
             steps = []
-            for ax in self.rules_at(level).by_rhs(self.name_of[goal_bit]):
+            for ax in rules.by_rhs(self.name_of[goal_bit]):
                 if isinstance(ax, Sub):
                     steps.append((None, ax.lhs))
                 elif isinstance(ax, ExLeft):
@@ -564,7 +554,6 @@ class LevelMap:
             candidates = self.con_mask(level)
             if premise_mask != top_bit:
                 candidates &= ~top_bit
-            closer = self.closer_at(level)
             if closer.closure_mask(premise_mask) & goal_bit:
                 swaps = candidates
             else:

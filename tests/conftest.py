@@ -45,6 +45,18 @@ r(a, b)
 """
 
 
+def diamond_kb_text(depth: int) -> str:
+    """Q(i+1) needs Ri and Si at a node, each from Qi at an r-successor; the
+    successors come from ``A <= exists r . A``, so a trace that materializes
+    one successor per existential premise doubles at every level, and one
+    that reuses them takes 4 * depth + 2 steps."""
+    lines = ["tbox:", "A <= exists r . A", "exists r . A <= Q0"]
+    for i in range(depth):
+        lines += [f"exists r . Q{i} <= R{i}", f"exists r . Q{i} <= S{i}"]
+        lines.append(f"R{i} & S{i} <= Q{i + 1}")
+    return "\n".join([*lines, "abox:", "A(a)", ""])
+
+
 @pytest.fixture
 def tex():
     """The four-axiom worked example: TBox, ABox, minimal heights."""

@@ -204,9 +204,7 @@ def level_closer(levels, n: int) -> TypeCloser:
     """The closer of T|n built the direct way: a ``TypeCloser`` of its own
     over ``restrict(T, h, n)``, in which Bot floods a type to con(T|n)."""
     n = min(n, levels.max_level)
-    return TypeCloser(
-        restrict(levels.tbox, levels.heights, n), extra_flood_mask=levels.con_mask(n)
-    )
+    return TypeCloser(restrict(levels.tbox, levels.heights, n), levels.con_mask(n))
 
 
 def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from strata.cli import main
 
-from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
+from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT, diamond_kb_text
 
 TPRIME_TEXT = """\
 tbox:
@@ -234,6 +234,15 @@ def test_rewrite_of_the_normalizers_name_is_that_of_a_name_outside(fresh_query_f
     assert fresh == capsys.readouterr().out.replace("Zed", "X1")
 
 
+def test_rewrite_of_an_ordered_name_above_every_axiom(tmp_path, capsys):
+    # Z occurs in no axiom, so the automaton's level lies above the TBox's top
+    p = tmp_path / "above.kb"
+    p.write_text("tbox:\nA <= B\nabox:\nZ(a)\norder:\nA B\nZ\n", encoding="utf-8")
+    assert main(["rewrite", str(p), "--for", "Z"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["automaton: Z", "level: 1", "alphabet: A? B? Top? Z? aut[A]? aut[B]?"]
+
+
 # the normalizer names B & C X1, and an order may leave X1 out: it gets the
 # least height the clauses allow at or above the order's heights
 OWN_ORDER_TEXT = "tbox:\nA <= exists r . (B & C)\nabox:\nA(a)\norder:\n"
@@ -331,6 +340,15 @@ def test_oracle_trace_through_an_anonymous_chain_deeper_than_the_recursion_limit
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["answer: true", "steps: 2200"]
     assert out[-1].startswith("step 2200: apply 'exists r . Q1099 <= Q1100' at a: add Q1100(a)")
+
+
+def test_oracle_trace_reuses_each_anonymous_successor(tmp_path, capsys):
+    p = tmp_path / "diamond.kb"
+    p.write_text(diamond_kb_text(16), encoding="utf-8")
+    assert main(["oracle", str(p), "--ask", "Q16(a)", "--trace"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["answer: true", "steps: 66"]
+    assert out[-1] == "step 66: apply 'R15 & S15 <= Q16' at a: add Q16(a) using R15(a), S15(a)"
 
 
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):

@@ -131,7 +131,7 @@ def test_weak_schema_drops_one_name_per_transition():
 
 def test_bot_automaton_is_buildable():
     tbox = TBox([ExLeft(Role("r"), "A", BOT)])
-    nfa = build_automaton(tbox, heights_for(tbox)[0], BOT, level=1)
+    nfa = build_automaton(tbox, heights_for(tbox)[0], BOT)
     assert nfa.initial.goal == BOT
     syms = {sym for _, sym, _d in nfa.transitions}
     assert RoleStep(Role("r")) in syms  # it hunts the Bot-deriving body

@@ -17,7 +17,9 @@ from strata import (
     TBox,
     TypeCloser,
     check_stratification,
+    normalize,
     oracle_entails,
+    parse_kb,
     random_stratified_kb,
     replay_derivation,
     restrict,
@@ -25,6 +27,7 @@ from strata import (
 )
 from strata.saturate import _fire
 
+from conftest import diamond_kb_text
 from oracles import chase, fire_scan, random_abox, random_normal_tbox, saturate_per_node
 
 FUZZ_CLASSES = pytest.mark.parametrize(
@@ -215,6 +218,16 @@ def test_a_trace_through_anonymous_successors_deeper_than_the_recursion_limit():
     assert ans and len(trace) == 2 * depth
     assert sum(isinstance(st.axiom, ExRight) for st in trace) == depth
     assert replay_derivation(tbox, abox, trace, f"Q{depth}", "a")
+
+
+def test_a_trace_reuses_each_anonymous_successor():
+    # R15 and S15 both read Q15 at the same r-successor of a, and so on down
+    kb = parse_kb(diamond_kb_text(16))
+    tbox, _ = normalize(kb.gcis)
+    ans, trace = oracle_entails(tbox, kb.abox, "Q16", "a", want_trace=True)
+    assert ans and len(trace) == 66
+    assert sum(isinstance(st.axiom, ExRight) for st in trace) == 17
+    assert replay_derivation(tbox, kb.abox, trace, "Q16", "a")
 
 
 def test_oracle_no_axioms_no_entailment():
