@@ -3,12 +3,14 @@
 Subcommands: check, rewrite, ask, oracle, bench, fuzz.  Output is plain
 "key: value" text so runs can be diffed; timing lines only appear with
 --timings.  Exit codes: 0 for ok/true/accepted, 1 for false/rejected or a
-found counterexample, 2 for usage or input errors.
+found counterexample, 2 for usage or input errors, 141 (128 + SIGPIPE) when
+the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -263,6 +265,12 @@ def main(argv=None) -> int:
     except KbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+        # end as SIGPIPE would, with the final flush going quietly to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

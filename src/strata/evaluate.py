@@ -18,7 +18,7 @@ Three engines answer "does the KB entail C(a)?":
                   engine reads the automaton's goal moves from
                   ``LevelMap.goal_moves``, where they are written once.
                   Labels grow one level at a time, and they are the
-                  engine's one memo.
+                  engine's one memo; a query is one search at its level.
 * ``oracle``:    saturation (see saturate module).
 
 ``compile_kb`` is the one front door from a KB to an ``Evaluator``:
@@ -26,8 +26,8 @@ normalize with fresh names new to the whole KB, then stratify (or verify a
 user-supplied order).  ``entails_iq`` adds the consistency pre-check and
 runs the selected engine.  The pre-check defaults to the oracle.  The
 experimental ``consistency="automaton"`` check reads asserted Bots directly
-(a TBox that never mentions Bot gives its automata no Bot test) and runs the
-Bot automaton over the whole TBox from every individual; it agrees with the
+(a TBox that never mentions Bot gives its automata no Bot test) and searches
+Bot from every individual, one level above every axiom; it agrees with the
 oracle on every generated KB the tests try.
 
 True answers come with a run witness replayable against the run conditions:
@@ -45,7 +45,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .kb import (
     BOT,
+    BOT_BIT,
     TOP,
+    TOP_BIT,
     AboxGraph,
     KbError,
     TBox,
@@ -54,9 +56,6 @@ from .kb import (
 from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
 from .saturate import SatResult, oracle_entails, saturate_abox
 from .stratify import LevelMap, heights_for
-
-_TOP_BIT = 1
-_BOT_BIT = 2
 
 
 def _assertion_witness(concept, ind):
@@ -107,7 +106,6 @@ class Evaluator:
         self.notes = notes
         self.levels = LevelMap(tbox, heights)
         self._sat: Optional[SatResult] = None
-        self._assert_mask: Dict[str, int] = {}
         self._labels: Dict[str, Tuple[int, ...]] = {}  # per individual, by level
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
         self._families: Dict[bool, _Family] = {}
@@ -122,18 +120,6 @@ class Evaluator:
             self._sat = saturate_abox(self.tbox, self.abox, self.levels.closer)
         return self._sat
 
-    def assert_mask(self, ind: str) -> int:
-        m = self._assert_mask.get(ind)
-        if m is None:
-            m = 0
-            bit_of = self.tbox.bit_of
-            for c in self.abox.asserted[ind]:
-                b = bit_of.get(c)
-                if b is not None:
-                    m |= 1 << b
-            self._assert_mask[ind] = m
-        return m
-
     # -- collapsed engine ----------------------------------------------------
 
     def label_mask(self, ind: str, n: int) -> int:
@@ -144,7 +130,8 @@ class Evaluator:
         labels = self._labels.get(ind, ())
         while len(labels) <= n:
             m = len(labels)
-            lab = (labels[-1] if m else _TOP_BIT) | self.assert_mask(ind) & self.levels.con_mask(m)
+            asserted = self.tbox.mask_of(self.abox.asserted[ind] & self.tbox.bit_of.keys())
+            lab = (labels[-1] if m else TOP_BIT) | asserted & self.levels.con_mask(m)
             for c, bit in self.levels.by_height[m - 1] if m else ():
                 if self._collapsed_search(c, ind)[0]:
                     lab |= bit
@@ -152,24 +139,17 @@ class Evaluator:
         return labels[n]
 
     def collapsed(self, concept: str, ind: str) -> bool:
-        """Read off the label one level above `concept`'s height, once it is
-        stored; search otherwise."""
         self.abox.require(ind)
-        if concept not in (TOP, BOT) and concept in self.tbox.bit_of:
-            n = self.levels.height(concept) + 1
-            labels = self._labels.get(ind, ())
-            if n < len(labels):
-                return bool(labels[n] >> self.tbox.bit_of[concept] & 1)
         return self._collapsed_search(concept, ind)[0]
 
-    def _collapsed_search(self, concept: str, ind: str, level: int = None):
-        """BFS over (individual, goal) nodes at `level` (by default the
-        concept's height); returns (answer, parents, hit)."""
+    def _collapsed_search(self, concept: str, ind: str):
+        """BFS over (individual, goal) nodes at the concept's height
+        (``LevelMap.height``); returns (answer, parents, hit)."""
         if concept == TOP:
             return True, None, (ind, TOP)
         if concept not in self.tbox.bit_of:  # only its own assertion helps
             return concept in self.abox.asserted[ind], None, (ind, concept)
-        n = self.levels.height(concept) if level is None else level
+        n = self.levels.height(concept)
         neighbors = self.abox.neighbors
         goal_moves = self.levels.goal_moves
         name_of = self.levels.name_of
@@ -183,7 +163,7 @@ class Evaluator:
             x, goal = node
             lab = self.label_mask(x, n)
             bit = 1 << bit_of[goal]
-            if lab & (bit | _BOT_BIT):
+            if lab & (bit | BOT_BIT):
                 return True, parents, node
             steps, swaps = goal_moves(n, lab, bit)
             succ = []
@@ -303,8 +283,10 @@ class Evaluator:
         return self.saturation().inconsistent
 
     def automaton_inconsistent(self) -> bool:
-        """An asserted Bot, or an accepting run of the Bot automaton over the
-        whole TBox from some individual; differential-tested against the
+        """An asserted Bot, or ``collapsed(Bot, x)`` at some individual x.
+        Bot's level lies one above every axiom (``LevelMap.height``), so its
+        labels hold the names of every height, those of the top one too, and
+        its goal moves read the whole TBox.  Differential-tested against the
         oracle.
 
         The asserted Bot is read directly: a TBox that never mentions Bot
@@ -312,7 +294,7 @@ class Evaluator:
         """
         individuals = self.abox.individuals
         return any(BOT in self.abox.asserted[x] for x in individuals) or any(
-            self._collapsed_search(BOT, x, self.levels.max_level)[0] for x in individuals
+            self.collapsed(BOT, x) for x in individuals
         )
 
 

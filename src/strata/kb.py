@@ -32,6 +32,10 @@ from typing import Iterable, Optional, Union
 
 TOP = "Top"
 BOT = "Bot"
+# the bits of Top and Bot in every concept mask: ``TBox`` gives them bits 0
+# and 1, and a TBox sharing an index inherits them
+TOP_BIT = 1
+BOT_BIT = 2
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # Parsing, normalizing, hashing and printing concepts all recurse on their
@@ -265,13 +269,11 @@ class TBox:
             raise KbError(f"shared index lacks concepts {missing}")
         self._name_of = {b: c for c, b in self.bit_of.items()}
 
-        self.top_bit = 1  # 1 << bit_of[TOP]
-        self.bot_bit = 2  # 1 << bit_of[BOT]
-        sig = self.top_bit
+        sig = TOP_BIT
         for c in self.concept_names:
             sig |= 1 << self.bit_of[c]
         if bot_occurs:
-            sig |= self.bot_bit
+            sig |= BOT_BIT
         self.signature_mask = sig
 
         # Compiled rule views for the fixpoint engines, in axiom order.

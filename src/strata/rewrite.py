@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Union
 
-from .kb import BOT, TOP, KbError, Role, TBox
+from .kb import BOT, BOT_BIT, TOP, KbError, Role, TBox
 from .stratify import LevelMap
 
 # The most states one automaton family may materialize; past it the rewriting
@@ -134,7 +134,7 @@ class NestedNfa:
         self.level_rules = levels.rules_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
         # alphabet pieces, from the level map's per-height names and con(T|n)
-        bot = (BOT,) if levels.con_mask(level) & self.tbox.bot_bit else ()
+        bot = (BOT,) if levels.con_mask(level) & BOT_BIT else ()
         self.con_names = (TOP, *levels.concepts_at(level), *bot)
         self.lower_names = levels.concepts_at(level - 1)
         self._succ: Dict[AutState, tuple] = {}
@@ -236,9 +236,9 @@ def build_automaton(
     user order, as ``compile_kb``'s do.  Querying a name the TBox never
     mentions is allowed: it is adjoined to the signature at its height in
     `heights` (0 if it has none), where only its own assertion can prove it.
-    Bot's automaton sits at level 0; the automaton consistency check runs
-    the collapsed search for Bot at the top level instead, which needs no
-    automaton.
+    Bot's automaton sits one level above every axiom (``LevelMap.height``):
+    it reads the whole TBox and nests the automaton of every name, so its
+    family can pass ``MAX_STATES`` where a low name's stays small.
     """
     if concept not in (TOP, BOT) and concept not in tbox.bit_of:
         tbox = TBox(tbox.axioms, extra_concepts=(concept,))

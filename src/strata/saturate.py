@@ -55,7 +55,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .kb import (
+    BOT_BIT,
     TOP,
+    TOP_BIT,
     AboxGraph,
     ConjSub,
     ExLeft,
@@ -65,9 +67,6 @@ from .kb import (
     Sub,
     TBox,
 )
-
-_TOP_BIT = 1  # 1 << bit_of[Top], fixed by TBox construction
-_BOT_BIT = 2  # 1 << bit_of[Bot]
 
 
 def _bits(mask: int):
@@ -99,7 +98,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
     """
     triggers, body, spawns = tbox.triggers, tbox.body_mask, tbox.spawns
     pending = queued = 0
-    if not cur & _BOT_BIT:
+    if not cur & BOT_BIT:
         if _new is None:
             pending = cur & body
         elif _new:
@@ -136,12 +135,12 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
             if not cur & lbit:
                 continue
             parent = cur
-            seed = _TOP_BIT | fbit
+            seed = TOP_BIT | fbit
             for f2, r2, _ in back:
                 if parent & f2:
                     seed |= r2
             child = child_of(seed)
-            cur |= child & _BOT_BIT
+            cur |= child & BOT_BIT
             if not child & fwd_mask:
                 continue
             for f2, r2, exl in fwd:
@@ -152,7 +151,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
                         justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed)
         if not pending:
             break
-    return flood if cur & _BOT_BIT else cur
+    return flood if cur & BOT_BIT else cur
 
 
 def _seed_pairs(back, parent: int) -> tuple:
@@ -187,7 +186,7 @@ class TypeCloser:
         self.tbox = tbox
         self.shared = shared
         sig = tbox.signature_mask if flood_mask is None else flood_mask
-        self.flood_mask = sig | _TOP_BIT | _BOT_BIT
+        self.flood_mask = sig | TOP_BIT | BOT_BIT
         self._vals: Dict[int, int] = {}
         self._rdeps: Dict[int, set] = {}
         self._justs: Optional[Dict[int, dict]] = {} if shared is None else None
@@ -200,7 +199,7 @@ class TypeCloser:
         return self.tbox.names_of(mask)
 
     def closure_mask(self, mask: int) -> int:
-        mask |= _TOP_BIT
+        mask |= TOP_BIT
         got = self._vals.get(mask)
         if got is not None:
             return got
@@ -217,7 +216,7 @@ class TypeCloser:
 
         def child_of(seed):
             got = shared.closure_mask(seed)
-            if got & _BOT_BIT:
+            if got & BOT_BIT:
                 held.append(seed)
                 return 0
             return got
@@ -235,7 +234,7 @@ class TypeCloser:
         """Per bit of a context's type, the rule application that first added
         it; the context's own premise bits have none.  Only a closer without
         `shared` keeps them."""
-        return self._justs[mask | _TOP_BIT]
+        return self._justs[mask | TOP_BIT]
 
     # -- fixpoint ---------------------------------------------------------
 
@@ -254,7 +253,7 @@ class TypeCloser:
         def dep(seed, user):
             if shared is not None:
                 v = shared.closure_mask(seed)
-                if not v & _BOT_BIT:  # final: no context, no edge
+                if not v & BOT_BIT:  # final: no context, no edge
                     return v
             v = self._vals.get(seed)
             if v is None:
@@ -317,7 +316,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     labels = {}
     justs = {a: {} for a in abox.individuals}
     for a in abox.individuals:
-        m = _TOP_BIT
+        m = TOP_BIT
         for c in abox.asserted[a]:
             bit = bit_of.get(c)
             if bit is not None:
@@ -346,7 +345,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
         queued.discard(a)
         cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a], new_bits[a])
         new_bits[a] = 0
-        if cur & _BOT_BIT and not inconsistent:
+        if cur & BOT_BIT and not inconsistent:
             inconsistent = True
             bot_at = a
         # push existential bodies with a filler new at `a` across asserted
@@ -362,7 +361,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
                     labels[nb] |= rbit
                     new_bits[nb] |= rbit
                     justs[nb][rbit] = ("edge", exl, a)
-                    if rbit == _BOT_BIT and not inconsistent:
+                    if rbit == BOT_BIT and not inconsistent:
                         inconsistent = True
                         bot_at = nb
                     if nb not in queued:

@@ -42,7 +42,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .kb import (
     BOT,
+    BOT_BIT,
     TOP,
+    TOP_BIT,
     ConjSub,
     ExLeft,
     ExRight,
@@ -468,17 +470,20 @@ class LevelMap:
         for c in tbox.concept_names:
             self.by_height[heights.get(c, 0)].append((c, 1 << tbox.bit_of[c]))
         # per level up to the top, con(T|n) as a mask
-        masks, mask = [], tbox.top_bit
+        masks, mask = [], TOP_BIT
         for n in range(self.max_level + 1):
             mask |= sum(bit for _, bit in self.by_height[n])
-            masks.append(mask | (tbox.bot_bit if n >= bot_from else 0))
+            masks.append(mask | (BOT_BIT if n >= bot_from else 0))
         self._con_masks = tuple(masks)
         self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
 
     def height(self, name: str) -> int:
-        if name in (TOP, BOT):
-            return 0
-        return self.heights.get(name, 0)
+        """The level `name` is searched and rewritten at: its height, 0 for
+        Top, and for Bot ``max_level + 1``, one above every axiom, whatever
+        level the order pins it at, so Bot's search reads every level."""
+        if name == BOT:
+            return self.max_level + 1
+        return 0 if name == TOP else self.heights.get(name, 0)
 
     def _view(self, n: int):
         """T|n's ``(rules, closer)``, built on first use; above the top
@@ -499,7 +504,7 @@ class LevelMap:
     def con_mask(self, n: int) -> int:
         """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present;
         just Top below level 0."""
-        return self._con_masks[min(n, self.max_level)] if n >= 0 else self.tbox.top_bit
+        return self._con_masks[min(n, self.max_level)] if n >= 0 else TOP_BIT
 
     def concepts_at(self, n: int):
         """Concept names of height <= n (no Top/Bot), lowest first."""
@@ -550,10 +555,9 @@ class LevelMap:
                         steps.append((None, ax.lhs2))
                     if premise_mask >> bit_of[ax.lhs2] & 1:
                         steps.append((None, ax.lhs1))
-            top_bit = self.tbox.top_bit
             candidates = self.con_mask(level)
-            if premise_mask != top_bit:
-                candidates &= ~top_bit
+            if premise_mask != TOP_BIT:
+                candidates &= ~TOP_BIT
             if closer.closure_mask(premise_mask) & goal_bit:
                 swaps = candidates
             else:
@@ -573,7 +577,7 @@ class LevelMap:
         cone = self._cones.get(goal_bit)
         if cone is None:
             preds = self._cone_preds()
-            cone = frontier = goal_bit | self.tbox.bot_bit
+            cone = frontier = goal_bit | BOT_BIT
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low

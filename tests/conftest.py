@@ -33,6 +33,18 @@ A B F r
 s
 """
 
+# A and B share the top height 0, and a0 gets both from its inv r-edge to
+# a1: a Bot search at level 0 misses them, one above every axiom sees them
+BOT_ABOVE_TEXT = """\
+tbox:
+A & B <= Bot
+exists inv r . Top <= A
+exists inv r . Top <= B
+abox:
+B(a1)
+r(a1, a0)
+"""
+
 # the normalizer names B & D; a query on that name, X1 unless the query
 # reserves it, asks about a name outside the KB like any other
 FRESH_QUERY_TEXT = """\

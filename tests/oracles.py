@@ -23,6 +23,7 @@ from strata import (
     TypeCloser,
     restrict,
 )
+from strata.kb import TOP_BIT
 
 
 def chase(tbox: TBox, abox: AboxGraph, max_depth: int, node_cap: int = 60000):
@@ -249,7 +250,7 @@ def saturate_per_node(tbox: TBox, abox: AboxGraph):
     until nothing changes.  Returns {individual: label mask}."""
     closer = TypeCloser(tbox)
     labels = {
-        a: tbox.top_bit | tbox.mask_of(c for c in abox.asserted[a] if c in tbox.bit_of)
+        a: TOP_BIT | tbox.mask_of(c for c in abox.asserted[a] if c in tbox.bit_of)
         for a in abox.individuals
     }
     changed = True

@@ -1,13 +1,18 @@
 """The command-line surface: exit codes, stable output, file handling."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import strata
 from strata.cli import main
 
-from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT, diamond_kb_text
+from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT, diamond_kb_text
 
 TPRIME_TEXT = """\
 tbox:
@@ -81,6 +86,17 @@ def test_ask_keeps_a_low_level_free_of_a_higher_level_bot(tmp_path, capsys):
     p.write_text(LOW_BOT_TEXT, encoding="utf-8")
     assert main(["ask", str(p), "--query", "F(a)", "--consistency", "none"]) == 1
     assert "answer: false" in capsys.readouterr().out.splitlines()
+
+
+def test_ask_checks_consistency_one_level_above_every_axiom(tmp_path, capsys):
+    p = tmp_path / "bot-above.kb"
+    p.write_text(BOT_ABOVE_TEXT, encoding="utf-8")
+    assert main(["ask", str(p), "--query", "A(a0)", "--consistency", "automaton"]) == 0
+    assert "inconsistent: true" in capsys.readouterr().out.splitlines()
+    # every height is 0, so Bot's level is 1
+    assert main(["ask", str(p), "--query", "Bot(a0)", "--consistency", "none"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "answer: true" in out and "level: 1" in out
 
 
 def test_ask_engines_and_witness(tex_file, capsys):
@@ -349,6 +365,22 @@ def test_oracle_trace_reuses_each_anonymous_successor(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["answer: true", "steps: 66"]
     assert out[-1] == "step 66: apply 'R15 & S15 <= Q16' at a: add Q16(a) using R15(a), S15(a)"
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_141(tmp_path):
+    # the 3,000-step trace outgrows the pipe's buffer, so the command is
+    # still writing when the reader stops after one line, as `| head -1` does
+    p = tmp_path / "chain.kb"
+    axioms = "".join(f"C{i} <= C{i + 1}\n" for i in range(3000))
+    p.write_text(f"tbox:\n{axioms}abox:\nC0(a)\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(strata.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-m", "strata.cli", "oracle", str(p), "--ask", "C3000(a)", "--trace"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"answer: true\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):

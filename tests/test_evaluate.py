@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from random import Random
 
 from strata import (
+    BOT,
     TOP,
     AboxGraph,
     AutoTest,
@@ -34,7 +35,7 @@ from strata import (
     validate_witness,
 )
 
-from conftest import FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
+from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
 from oracles import goal_moves_scan, level_closer
 
 
@@ -191,12 +192,32 @@ def test_automaton_consistency_check_sees_derivable_bot():
     assert res.inconsistent
 
 
-@settings(max_examples=25)
-@given(st.integers(0, 100_000))
+# the size classes of scripts/run_fuzz.py, as (concepts, roles, individuals,
+# gcis, drawn heights up to)
+FUZZ_CLASSES = {
+    "tiny": (3, 2, 4, 6, 3),
+    "default": (6, 3, 10, 12, 3),
+    "dense": (4, 2, 5, 14, 3),
+    "wide": (6, 3, 16, 10, 3),
+    "tall": (16, 3, 10, 24, 8),
+}
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 1_000_000))
 def test_automaton_consistency_matches_oracle_on_role_connected_kbs(seed):
-    tbox, abox, _ = random_stratified_kb(Random(seed), max_gcis=8)
-    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
-    assert ev.automaton_inconsistent() == ev.oracle_inconsistent()
+    # every fuzz class under the minimal heights and the drawn map as the
+    # order; the tall class on a third of the seeds only, since its naive Bot
+    # automaton nests up to 16 lower ones
+    for label, limits in FUZZ_CLASSES.items():
+        if label == "tall" and seed % 3:
+            continue
+        tbox, abox, drawn = random_stratified_kb(Random(seed), *limits)
+        for heights in (heights_for(tbox)[0], drawn):
+            ev = Evaluator(tbox, abox, heights)
+            assert ev.automaton_inconsistent() == ev.oracle_inconsistent(), label
+            for x in abox.individuals:
+                assert ev.collapsed(BOT, x) == ev.naive(BOT, x), (label, x)
 
 
 def test_automaton_consistency_sees_bot_through_an_inverse_role_successor():
@@ -209,6 +230,17 @@ def test_automaton_consistency_sees_bot_through_an_inverse_role_successor():
     ev = compile_kb(kb.gcis, kb.abox)
     assert ev.oracle_inconsistent()
     assert ev.automaton_inconsistent()
+
+
+def test_automaton_consistency_sees_a_bot_whose_conjuncts_share_the_top_height():
+    # A and B both have height 0, the top level, so a0's label holds both
+    # only one level above every axiom, where Bot is searched
+    kb = parse_kb(BOT_ABOVE_TEXT)
+    ev = compile_kb(kb.gcis, kb.abox)
+    assert ev.levels.max_level == 0 and ev.levels.height(BOT) == 1
+    assert ev.oracle_inconsistent()
+    assert ev.automaton_inconsistent()
+    assert ev.collapsed(BOT, "a0") and ev.naive(BOT, "a0")
 
 
 # -- the anon schema ------------------------------------------------------------
@@ -247,11 +279,7 @@ def _assert_moves_match_scan(levels, triples):
         )
 
 
-@pytest.mark.parametrize(
-    "limits",
-    [(3, 2, 4, 6, 3), (6, 3, 10, 12, 3), (4, 2, 5, 14, 3), (6, 3, 16, 10, 3), (16, 3, 10, 24, 8)],
-    ids=["tiny", "default", "dense", "wide", "tall"],
-)
+@pytest.mark.parametrize("limits", list(FUZZ_CLASSES.values()), ids=list(FUZZ_CLASSES))
 @settings(max_examples=60)
 @given(st.integers(0, 1_000_000))
 def test_swap_mask_matches_the_exhaustive_scan(limits, seed):

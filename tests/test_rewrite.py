@@ -133,6 +133,7 @@ def test_bot_automaton_is_buildable():
     tbox = TBox([ExLeft(Role("r"), "A", BOT)])
     nfa = build_automaton(tbox, heights_for(tbox)[0], BOT)
     assert nfa.initial.goal == BOT
+    assert nfa.level == 1  # one above the TBox's only level, 0
     syms = {sym for _, sym, _d in nfa.transitions}
     assert RoleStep(Role("r")) in syms  # it hunts the Bot-deriving body
 

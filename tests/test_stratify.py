@@ -32,6 +32,7 @@ from strata import (
     saturate_abox,
     verify_preorder,
 )
+from strata.kb import BOT_BIT
 from strata.stratify import _clauses
 
 from conftest import LOW_BOT_TEXT
@@ -332,7 +333,7 @@ def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed, drawn):
         for name in (BOT, *tbox.concept_names):
             assert got.by_rhs(name) == want.by_rhs(name)
         con = levels.con_mask(n)  # just Top at level -1
-        assert bool(con & tbox.bot_bit) == want.bot_occurs, n
+        assert bool(con & BOT_BIT) == want.bot_occurs, n
         assert not want.signature_mask & ~con, n
 
 
