@@ -19,6 +19,12 @@ Three engines answer "does the KB entail C(a)?":
                   ``LevelMap.goal_moves``, where they are written once.
                   Labels grow one level at a time, and they are the
                   engine's one memo; a query is one search at its level.
+                  Lower levels are settled once, in the labels, and only
+                  read as tests: a search does not expand a goal below its
+                  level (see ``_collapsed_search``).  So each level is one
+                  linear reachability over (individual, goal) pairs: the
+                  top query of the n-level tower ``exists r . C_i <=
+                  C_{i+1}`` visits (n+1)^2 nodes, not about n^3.
 * ``oracle``:    saturation (see saturate module).
 
 ``compile_kb`` is the one front door from a KB to an ``Evaluator``:
@@ -146,7 +152,20 @@ class Evaluator:
 
     def _collapsed_search(self, concept: str, ind: str):
         """BFS over (individual, goal) nodes at the concept's height
-        (``LevelMap.height``); returns (answer, parents, hit)."""
+        (``LevelMap.height``); returns (answer, parents, hit).
+
+        A node (y, g) whose goal lies below the search level n is a leaf:
+        it accepts or it is not expanded.  The start is never one, since its
+        goal has height n.  The leaf rule is sound on a consistent KB.  If
+        an accepting node is reachable from (y, g), the level-n search for g
+        from y is true.  That search equals ``collapsed(g, y)`` at g's own
+        height, because the axioms T|n adds above g reach g only through
+        Bot.  The label at n holds g exactly when g is asserted at y or
+        proved there at its own height, so (y, g) accepts itself.  On an
+        inconsistent KB a higher level can reach a lower goal through Bot,
+        so under ``consistency="none"`` such a KB may answer differently
+        from a search that expands every node.  Bot's own search keeps no
+        leaves (see ``automaton_inconsistent``)."""
         if concept == TOP:
             return True, None, (ind, TOP)
         if concept not in self.tbox.bit_of:  # only its own assertion helps
@@ -156,6 +175,7 @@ class Evaluator:
         goal_moves = self.levels.goal_moves
         name_of = self.levels.name_of
         bit_of = self.tbox.bit_of
+        leaf = 0 if concept == BOT else self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
         start = (ind, concept)
         parents = {start: None}
         queue = deque([start])
@@ -167,6 +187,8 @@ class Evaluator:
             bit = 1 << bit_of[goal]
             if lab & (bit | BOT_BIT):
                 return True, parents, node
+            if bit & leaf:
+                continue
             steps, swaps = goal_moves(n, lab, bit)
             succ = []
             for role, name in steps:
@@ -290,6 +312,15 @@ class Evaluator:
         labels hold the names of every height, those of the top one too, and
         its goal moves read the whole TBox.  Differential-tested against the
         oracle.
+
+        Bot's search keeps no leaves: it expands every goal it reaches,
+        those below its level too.  The leaf rule holds only on a consistent
+        KB (see ``_collapsed_search``), and this check exists for the other
+        ones.  There, a lower goal expanded with the whole TBox can lead to
+        Bot through axioms above the goal's height, which the goal's own
+        search, and so the label, never reads.  With leaves, Bot's search
+        missed Bot at some individuals of inconsistent fuzz KBs where the
+        naive Bot automaton finds it.
 
         The asserted Bot is read directly: a TBox that never mentions Bot
         gives its automata no Bot test to read it with.

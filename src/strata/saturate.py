@@ -88,9 +88,10 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
     a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
     have not been looked at yet; by default every bit is new.  A spawn is
     queued by its trigger bits and evaluated once after sub and conj
-    propagation has settled.  `_new=0` says that `cur` is closed under sub
-    and conj but the successor types `child_of` returns may have grown since
-    it was: every spawn whose lhs holds is evaluated again.
+    propagation has settled; none is once Bot is in the type, whose value is
+    then `flood` whatever its successors hold.  `_new=0` says that `cur` is
+    closed under sub and conj but the successor types `child_of` returns may
+    have grown since it was: every spawn whose lhs holds is evaluated again.
     """
     triggers, body, spawns = tbox.triggers, tbox.body_mask, tbox.spawns
     pending = queued = 0
@@ -124,7 +125,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
         if child_of is None or not queued:
             break
         todo, queued = queued, 0
-        while todo:
+        while todo and not cur & BOT_BIT:
             low = todo & -todo
             todo ^= low
             lbit, fbit, exr, back, fwd, fwd_mask = spawns[low.bit_length() - 1]
@@ -145,7 +146,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
                     pending |= r2 & body
                     if justs is not None:
                         justs[r2] = ("anon", exr, exl, _seed_pairs(back, parent), seed)
-        if not pending:
+        if not pending or cur & BOT_BIT:
             break
     return flood if cur & BOT_BIT else cur
 

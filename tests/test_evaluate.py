@@ -474,6 +474,25 @@ def test_validator_rejects_broken_witnesses():
         validate_witness(wit, abox, "a1", lambda c, x: True)
 
 
+def test_a_goal_below_the_search_level_is_a_leaf():
+    """`exists r . A <= A` and `exists r . A <= B` over the r chain a0..a3,
+    with no A anywhere: A lies at level 0, B at level 1.  Once every label
+    at level 1 is built, the search for B(a0) visits (a0, B) and its step
+    (a1, A).  That node fails its accept test and is not expanded, so the
+    search does not walk on to (a2, A) and (a3, A): 2 nodes, not 4."""
+    r = Role("r")
+    tbox = TBox([ExLeft(r, "A", "A"), ExLeft(r, "A", "B")])
+    inds = ["a0", "a1", "a2", "a3"]
+    abox = AboxGraph([], [(r, x, y) for x, y in zip(inds, inds[1:])], inds)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
+    assert (ev.levels.height("A"), ev.levels.height("B")) == (0, 1)
+    for x in inds:
+        ev.label_mask(x, 1)
+    ev.collapsed_visited = 0
+    assert ev.collapsed("B", "a0") is False
+    assert ev.collapsed_visited == 2
+
+
 def test_visited_counters_respect_laziness_bounds():
     kb = parse_kb(TEX_TEXT)
     tbox, _ = normalize(kb.gcis)

@@ -91,3 +91,18 @@ def test_a_tower_deeper_than_the_recursion_limit():
     assert answers == [True, False, False]
     assert not inconsistent
     assert con == tbox.mask_of(["Top", *tbox.concept_names])
+
+
+def test_the_100_level_tower_reads_lower_levels_through_the_labels():
+    """The top query of the 100-level tower (2n+1 individuals, C0 at every
+    even one) from a0 visits (n+1)^2 nodes: a level's search settles a goal
+    below it by the label and does not walk down the lower levels again."""
+    n = 100
+    tbox = TBox([ExLeft(R, f"C{k}", f"C{k + 1}") for k in range(n)])
+    inds = [f"a{i}" for i in range(2 * n + 1)]
+    abox = AboxGraph([("C0", a) for a in inds[::2]], _chain_edges(2 * n + 1), inds)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
+    top = f"C{n}"
+    assert ev.collapsed(top, "a0") is True
+    assert ev.saturation().labels["a0"] >> tbox.bit_of[top] & 1
+    assert ev.collapsed_visited == (n + 1) ** 2
