@@ -18,7 +18,7 @@ from pathlib import Path
 from .evaluate import compile_kb, entails_iq
 from .kb import KbError, ParseError, RESERVED, _is_name, kb_from_normal, normalize_kb, parse_kb
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
-from .rewrite import build_automaton, export_automaton
+from .rewrite import export_automaton
 from .saturate import oracle_entails
 from .stratify import NotStratifiedError, heights_for, verify_preorder
 from .fuzz import run_fuzz
@@ -88,7 +88,7 @@ def _cmd_rewrite(args) -> int:
     kb = _load(args.kb)
     concept = _concept_name(args.for_concept, kb)
     ev = compile_kb(kb.gcis, kb.abox, kb.order, concept)
-    nfa = build_automaton(ev.tbox, ev.heights, concept, include_weak=args.include_weak)
+    nfa = ev.automaton(concept, include_weak=args.include_weak)
     if args.dot:
         _write(Path(args.dot), export_automaton(nfa, "dot"))
     sys.stdout.write(export_automaton(nfa, "text"))

@@ -29,7 +29,12 @@ Three engines answer "does the KB entail C(a)?":
 
 ``compile_kb`` is the one front door from a KB to an ``Evaluator``:
 normalize with fresh names new to the whole KB, then stratify (or verify a
-user-supplied order).  ``entails_iq`` adds the consistency pre-check and
+user-supplied order), then adjoin a query name no axiom mentions to the
+TBox's signature.  No engine treats such a name, or Top, apart: Top is bit 0
+of every label and of every automaton premise, so its search accepts at the
+start, and an adjoined name enters no axiom, so only its own assertion
+proves it.  An ``Evaluator`` built without ``compile_kb`` has no such name
+and raises KbError on it.  ``entails_iq`` adds the consistency pre-check and
 runs the selected engine.  The pre-check defaults to the oracle.  The
 experimental ``consistency="automaton"`` check reads asserted Bots directly
 (a TBox that never mentions Bot gives its automata no Bot test) and searches
@@ -39,7 +44,9 @@ oracle on every generated KB the tests try.
 True answers come with a run witness replayable against the run conditions:
 role steps follow ABox edges, tests hold at a fixed individual in the
 ABox-as-interpretation, the first tuple starts at the query individual, and
-the last state accepts.
+the last state accepts.  The witness is the path of the search that answers,
+so ``entails_iq`` runs one search with or without it; a start that accepts
+is one ``Top?`` step.
 """
 
 from __future__ import annotations
@@ -64,16 +71,6 @@ from .saturate import SatResult, oracle_entails, saturate_abox
 from .stratify import LevelMap, heights_for
 
 
-def _assertion_witness(concept, ind):
-    """A one-step run for a goal the start individual satisfies outright."""
-    if concept == TOP:
-        st = AutState(frozenset({TOP}), TOP)
-        return RunStep(ind, st, TOP_TEST, st, ind)
-    before = AutState(frozenset({TOP}), concept)
-    after = AutState(frozenset({TOP, concept}), concept)
-    return RunStep(ind, before, ConceptTest(concept), after, ind)
-
-
 @dataclass(frozen=True)
 class RunStep:
     source: str
@@ -86,13 +83,19 @@ class RunStep:
 RunWitness = Tuple[RunStep, ...]
 
 
-def _path(parents, hit):
-    """(previous node, node, edge label) along the search path to `hit`."""
+def _witness(parents, hit, state, symbol=lambda label: label) -> RunWitness:
+    """The run along the search path to `hit`: `state` reads a node's
+    automaton state and `symbol` an edge label, where None is a Top? test.
+    A path of no edges, a start that accepts, is one Top? test at the hit."""
     path = [hit]
     while parents[path[-1]] is not None:
         path.append(parents[path[-1]][0])
     path.reverse()
-    return [(prev, cur, parents[cur][1]) for prev, cur in zip(path, path[1:])]
+    edges = [(prev, cur, parents[cur][1]) for prev, cur in zip(path, path[1:])]
+    return tuple(
+        RunStep(prev[0], state(prev), TOP_TEST if sym is None else symbol(sym), state(cur), cur[0])
+        for prev, cur, sym in edges or [(hit, hit, None)]
+    )
 
 
 class Evaluator:
@@ -166,10 +169,6 @@ class Evaluator:
         so under ``consistency="none"`` such a KB may answer differently
         from a search that expands every node.  Bot's own search keeps no
         leaves (see ``automaton_inconsistent``)."""
-        if concept == TOP:
-            return True, None, (ind, TOP)
-        if concept not in self.tbox.bit_of:  # only its own assertion helps
-            return concept in self.abox.asserted[ind], None, (ind, concept)
         n = self.levels.height(concept)
         neighbors = self.abox.neighbors
         goal_moves = self.levels.goal_moves
@@ -214,16 +213,7 @@ class Evaluator:
             x, goal = node
             return AutState(self.tbox.names_of(self.label_mask(x, n)) | {TOP}, goal)
 
-        if parents is None:
-            return (_assertion_witness(concept, ind),)
-        steps = []
-        for prev, cur, role in _path(parents, hit):
-            sym = TOP_TEST if role is None else RoleStep(role)
-            steps.append(RunStep(prev[0], state(prev), sym, state(cur), cur[0]))
-        if not steps:
-            st = state(hit)
-            steps.append(RunStep(hit[0], st, TOP_TEST, st, hit[0]))
-        return tuple(steps)
+        return _witness(parents, hit, state, RoleStep)
 
     # -- naive engine ---------------------------------------------------------
 
@@ -236,9 +226,9 @@ class Evaluator:
             self._memo_naive[key] = got
         return got
 
-    def _automaton(self, concept: str, include_weak: bool):
+    def automaton(self, concept: str, include_weak: bool = False):
         """The rewriting automaton of `concept`, from the family the naive
-        engine shares per `include_weak` value."""
+        engine and ``strata rewrite`` share per `include_weak` value."""
         family = self._families.get(include_weak)
         if family is None:
             family = self._families[include_weak] = _Family(self.levels, include_weak)
@@ -246,11 +236,7 @@ class Evaluator:
 
     def _naive_search(self, concept: str, ind: str, include_weak: bool):
         """BFS over (individual, automaton state) product nodes."""
-        if concept == TOP:
-            return True, None, None
-        if concept not in self.tbox.bit_of:
-            return concept in self.abox.asserted[ind], None, None
-        nfa = self._automaton(concept, include_weak)
+        nfa = self.automaton(concept, include_weak)
         asserted = self.abox.asserted
         neighbors = self.abox.neighbors
         start = (ind, nfa.initial)
@@ -282,12 +268,7 @@ class Evaluator:
         found, parents, hit = self._naive_search(concept, ind, include_weak)
         if not found:
             return None
-        if parents is None:
-            return (_assertion_witness(concept, ind),)
-        return tuple(
-            RunStep(prev[0], prev[1], sym, cur[1], cur[0])
-            for prev, cur, sym in _path(parents, hit)
-        )
+        return _witness(parents, hit, lambda node: node[1])
 
     # -- oracle + consistency --------------------------------------------------
 
@@ -350,9 +331,13 @@ def compile_kb(gcis, abox: AboxGraph, order: dict = None, query: str = None) -> 
     names new to the whole KB and to the `query` concept (``normalize_kb``),
     then take the heights from ``heights_for`` (a user `order`, name ->
     height, completed on the fresh names and verified, or the minimal
-    heights)."""
+    heights).  A `query` no axiom mentions is adjoined to the TBox after
+    that (``TBox.with_concept``), so the heights and the order's check see
+    only the axioms' names; it keeps its order height, else 0."""
     tbox, fresh = normalize_kb(gcis, abox, query)
     heights, notes = heights_for(tbox, order, fresh)
+    if query is not None:
+        tbox = tbox.with_concept(query)
     return Evaluator(tbox, abox, heights, fresh, notes)
 
 
@@ -401,20 +386,20 @@ def entails_iq(
 
     witness = None
     if engine == "collapsed":
-        answer = ev.collapsed(concept, ind)
-        if answer and want_witness:
-            witness = ev.collapsed_witness(concept, ind)
-        diagnostics["visited"] = ev.collapsed_visited
+        search, witness_search = ev.collapsed, ev.collapsed_witness
     elif engine == "naive":
-        answer = ev.naive(concept, ind)
-        if answer and want_witness:
-            witness = ev.naive_witness(concept, ind)
-        diagnostics["visited"] = ev.naive_visited
+        search, witness_search = ev.naive, ev.naive_witness
     elif engine == "oracle":
-        answer, _ = ev.oracle(concept, ind)
-        diagnostics["visited"] = 0
+        search, witness_search = (lambda c, x: ev.oracle(c, x)[0]), None
     else:
         raise KbError(f"unknown engine {engine!r}")
+    if want_witness and witness_search:  # one search answers and witnesses
+        witness = witness_search(concept, ind)
+        answer = witness is not None
+    else:
+        answer = search(concept, ind)
+    diagnostics["visited"] = ev.collapsed_visited + ev.naive_visited  # one is 0
+
     diagnostics["closure_contexts"] = ev.levels.closure_contexts()
     diagnostics["elapsed"] = time.perf_counter() - t0
     return IqResult(answer, witness, False, ev.heights, diagnostics)

@@ -299,6 +299,13 @@ class TBox:
                 rhs_index.setdefault(rhs, []).append(a)
         self._rhs_index = {k: tuple(v) for k, v in rhs_index.items()}
 
+    def with_concept(self, name: str) -> "TBox":
+        """This TBox with `name` adjoined to its signature if no axiom
+        mentions it; such a name holds exactly where it is asserted."""
+        if name in self.bit_of:
+            return self
+        return TBox(self.axioms, extra_concepts=(name,))
+
     def by_rhs(self, name: str):
         """Axioms whose right-hand side is exactly `name` (Bot included)."""
         return self._rhs_index.get(name, ())

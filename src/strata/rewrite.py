@@ -7,7 +7,11 @@ interpretation) coincide with entailment of A at the start individual.
 States are (premise, goal) pairs: the premise is the set of concept names
 already known to hold at the current node, the goal is the single concept
 still to be established there.  A state accepts when the goal sits in the
-premise, or Bot does.  Transitions come from seven schemas:
+premise, or Bot does.  Every premise holds Top, so Top's automaton accepts
+at its initial state.  A query name no axiom mentions is adjoined to the
+signature (``TBox.with_concept``); no axiom derives it, so short of Bot its
+automaton accepts only through its own data test.  Transitions come from
+seven schemas:
 
   weak   drop one name from the premise           (Top? test; off by default)
   data   read an asserted concept into the premise (B? test)
@@ -233,18 +237,15 @@ def build_automaton(
     """Build the rewriting automaton for `concept` at its height level.
 
     `heights` must come from an accepted stratification check or a verified
-    user order, as ``compile_kb``'s do.  Querying a name the TBox never
-    mentions is allowed: it is adjoined to the signature at its height in
-    `heights` (0 if it has none), where only its own assertion can prove it.
+    user order, as ``compile_kb``'s do.  A name no axiom mentions is
+    adjoined to the signature as ``compile_kb`` adjoins it
+    (``TBox.with_concept``), at its height in `heights` (0 if it has none).
     Bot's automaton sits one level above every axiom (``LevelMap.height``):
     it reads the whole TBox and nests the automaton of every name, so its
     family can pass ``MAX_STATES`` where a low name's stays small.
     """
-    if concept not in (TOP, BOT) and concept not in tbox.bit_of:
-        tbox = TBox(tbox.axioms, extra_concepts=(concept,))
-        heights = dict(heights)
-        heights.setdefault(concept, 0)
-    return _Family(LevelMap(tbox, heights), include_weak).automaton(concept)
+    levels = LevelMap(tbox.with_concept(concept), heights)
+    return _Family(levels, include_weak).automaton(concept)
 
 
 # ---------------------------------------------------------------------------

@@ -523,8 +523,6 @@ def oracle_entails(
         sat = saturate_abox(tbox, abox, closer)
     if sat.inconsistent:
         return True, None
-    if concept == TOP:
-        return True, []
     bit = tbox.bit_of.get(concept)
     if bit is None:
         answer = concept in abox.asserted[ind]

@@ -415,7 +415,8 @@ class LevelMap:
     ``con(T|n)`` is taken as the TBox concept names of height at most n,
     plus Top, plus Bot from the lowest level whose axioms mention it: a name
     of low height may occur only inside higher-level axioms, yet its tests
-    must already be available to the low-level automata.  Every level's mask
+    must already be available to the low-level automata.  The mask of every
+    height up to the highest a name holds, which may lie above every axiom,
     is built at construction, with the names sorted by height.  Each level
     has one view, T|n's rules (``LevelRules``) and closer, built on first
     use; the top level's is ``(tbox, closer)`` from the start.
@@ -446,26 +447,27 @@ class LevelMap:
         self.heights = heights
         self._level_of = {ax: axiom_level(ax, heights) for ax in tbox.axioms}
         self.max_level = max(self._level_of.values(), default=0)
-        bot_from = min(
-            (n for ax, n in self._level_of.items() if BOT in axiom_names(ax)[0]),
-            default=self.max_level + 1,
-        )
         self.closer = TypeCloser(tbox)
         self._views = {self.max_level: (tbox, self.closer)}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
         # per height, its concept names as (name, bit) pairs, by name; a
-        # name ``build_automaton`` adjoins keeps its order height, which may
-        # lie above every axiom
+        # name no axiom mentions (``TBox.with_concept``) keeps its order
+        # height, which may lie above every axiom
         top = max([self.max_level, *(heights.get(c, 0) for c in tbox.concept_names)])
         self.by_height = tuple([] for _ in range(top + 1))
         for c in tbox.concept_names:
             self.by_height[heights.get(c, 0)].append((c, 1 << tbox.bit_of[c]))
-        # per level up to the top, con(T|n) as a mask
+        # per row of by_height, con(T|n) as a mask; Bot only from the lowest
+        # level whose axioms mention it
+        bot_from = min(
+            (n for ax, n in self._level_of.items() if BOT in axiom_names(ax)[0]),
+            default=top + 1,
+        )
         masks, mask = [], TOP_BIT
-        for n in range(self.max_level + 1):
-            mask |= sum(bit for _, bit in self.by_height[n])
+        for n, row in enumerate(self.by_height):
+            mask |= sum(bit for _, bit in row)
             masks.append(mask | (BOT_BIT if n >= bot_from else 0))
         self._con_masks = tuple(masks)
         self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
@@ -473,9 +475,12 @@ class LevelMap:
     def height(self, name: str) -> int:
         """The level `name` is searched and rewritten at: its height, 0 for
         Top, and for Bot ``max_level + 1``, one above every axiom, whatever
-        level the order pins it at, so Bot's search reads every level."""
+        level the order pins it at, so Bot's search reads every level.
+        A name outside the TBox has none (``compile_kb`` adjoins it)."""
         if name == BOT:
             return self.max_level + 1
+        if name not in self.tbox.bit_of:
+            raise KbError(f"{name} is not a concept name of the TBox")
         return 0 if name == TOP else self.heights.get(name, 0)
 
     def _view(self, n: int):
@@ -497,7 +502,7 @@ class LevelMap:
     def con_mask(self, n: int) -> int:
         """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present;
         just Top below level 0."""
-        return self._con_masks[min(n, self.max_level)] if n >= 0 else TOP_BIT
+        return self._con_masks[min(n, len(self.by_height) - 1)] if n >= 0 else TOP_BIT
 
     def concepts_at(self, n: int):
         """Concept names of height <= n (no Top/Bot), lowest first."""

@@ -117,6 +117,24 @@ def test_ask_output_is_deterministic(tex_file, capsys):
     assert "elapsed-s:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("engine", ["collapsed", "naive"])
+def test_ask_witness_comes_from_the_search_that_answers(tmp_path, capsys, engine):
+    # one search answers and witnesses, so --witness visits no extra node
+    p = tmp_path / "three.kb"
+    p.write_text(
+        "tbox:\nA <= B\nexists r . B <= C\nC & A <= D\nabox:\nA(a)\nr(b, a)\n",
+        encoding="utf-8",
+    )
+    argv = ["ask", str(p), "--query", "C(b)", "--engine", engine]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--witness"]) == 0
+    witnessed = capsys.readouterr().out.splitlines()
+    visited = [ln for ln in plain if ln.startswith("visited: ")]
+    assert len(visited) == 1 and visited == [ln for ln in witnessed if ln.startswith("visited: ")]
+    assert any(ln.startswith("witness: ") for ln in witnessed)
+
+
 def test_ask_unstratifiable_reports_rejection(tprime_file, capsys):
     assert main(["ask", tprime_file, "--query", "A(a)"]) == 1
     assert "result: REJECTED" in capsys.readouterr().out

@@ -149,10 +149,39 @@ def test_pipeline_ex_falso_via_precheck():
         assert res.answer and res.inconsistent
 
 
-def test_pipeline_foreign_concept_is_assertion_only():
-    kb = parse_kb("tbox:\nA <= B\nabox:\nA(a)\nQ(b)\n")
-    assert not entails_iq(kb.gcis, kb.abox, "Q", "a").answer
-    assert entails_iq(kb.gcis, kb.abox, "Q", "b").answer
+FOREIGN_TEXT = "tbox:\nA <= B\nabox:\nA(a)\nQ(b)\n"
+
+
+@pytest.mark.parametrize(
+    "text, concept, true_at",
+    [
+        (FOREIGN_TEXT, TOP, {"a", "b"}),
+        (FOREIGN_TEXT, "Q", {"b"}),
+        # an ordered name above every axiom, at a level no axiom reaches
+        ("tbox:\nA <= B\nabox:\nA(a)\nZ(b)\norder:\nA B\nZ\n", "Z", {"b"}),
+    ],
+    ids=["top", "abox-only", "ordered-above"],
+)
+def test_pipeline_foreign_concept_is_assertion_only(text, concept, true_at):
+    """Top holds everywhere and a name no axiom mentions exactly where it is
+    asserted, by the ordinary search over the signature ``compile_kb``
+    adjoins the name to; an evaluator built without it has no such name."""
+    kb = parse_kb(text)
+    ev = compile_kb(kb.gcis, kb.abox, kb.order, concept)
+    for ind in kb.abox.individuals:
+        want = ind in true_at
+        for engine in ("collapsed", "naive", "oracle"):
+            res = entails_iq(kb.gcis, kb.abox, concept, ind, engine=engine, order=kb.order)
+            assert res.answer == want, (engine, ind)
+        witnesses = (ev.collapsed_witness(concept, ind), ev.naive_witness(concept, ind))
+        if want:
+            for witness in witnesses:
+                validate_witness(witness, kb.abox, ind)
+        else:
+            assert witnesses == (None, None)
+    plain = compile_kb(kb.gcis, kb.abox, kb.order)
+    with pytest.raises(KbError, match="Nowhere"):
+        Evaluator(plain.tbox, kb.abox, plain.heights).collapsed("Nowhere", "a")
 
 
 @pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
