@@ -17,9 +17,13 @@ Three engines answer "does the KB entail C(a)?":
                   goal) pairs with the premise pinned to that label.  The
                   engine reads the automaton's goal moves from
                   ``LevelMap.goal_moves``, where they are written once.
-                  Labels grow one level at a time, and they are the
-                  engine's one memo; a query is one search at its level.
-                  Lower levels are settled once, in the labels, and only
+                  The engine's one memo holds, per individual, the lower
+                  names decided there and which of them hold; a query is
+                  one search at its level.  A node decides a lower name
+                  only when it reads it, that is when the name lies in its
+                  goal's cone, by a search at the name's own height: the
+                  demand-driven evaluation of magic sets (Bancilhon,
+                  Maier, Sagiv, Ullman, PODS 1986).  Lower levels are only
                   read as tests: a search does not expand a goal below its
                   level (see ``_collapsed_search``).  So each level is one
                   linear reachability over (individual, goal) pairs: the
@@ -115,7 +119,14 @@ class Evaluator:
         self.notes = notes
         self.levels = LevelMap(tbox, heights)
         self._sat: Optional[SatResult] = None
-        self._labels: Dict[str, Tuple[int, ...]] = {}  # per individual, by level
+        # per individual, Top plus its asserted names as a mask, and the
+        # memo of [lower names decided there, those of them that hold]
+        self._asserted: Dict[str, int] = {}
+        self._memo: Dict[str, list] = {}
+        # per (level, searching Bot), see ``_search_level``
+        self._search_levels: Dict[Tuple[int, bool], tuple] = {}
+        # per height, the mask of its names, for deciding lowest height first
+        self._rows = tuple(sum(bit for _, bit in row) for row in self.levels.by_height)
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
         self._families: Dict[bool, _Family] = {}
         self.naive_visited = 0
@@ -131,23 +142,57 @@ class Evaluator:
 
     # -- collapsed engine ----------------------------------------------------
 
+    def _asserted_at(self, ind: str) -> int:
+        got = self._asserted.get(ind)
+        if got is None:
+            names = self.abox.asserted[ind] & self.tbox.bit_of.keys()
+            got = self._asserted[ind] = self.tbox.mask_of(names) | TOP_BIT
+        return got
+
+    def _decide(self, ind: str, need: int) -> None:
+        """Decide at `ind` every name of `need` not yet decided there, each
+        by its own search at its own height, lowest height first.  A search
+        decides lower names at `ind` too, so what is left is read again after
+        each one.  Lowest first means each search finds the lower names it
+        reads at `ind` already decided, so searches at one individual do not
+        nest through every level below: highest first overflowed the stack
+        on the 250-level tower of ``tests/test_scale.py``."""
+        memo = self._memo.get(ind) or self._memo.setdefault(ind, [0, 0])
+        name_of = self.levels.name_of
+        for row in self._rows:
+            todo = need & row
+            if not todo:
+                continue
+            while todo := todo & ~memo[0]:
+                low = todo & -todo
+                if self._collapsed_search(name_of[low], ind)[0]:
+                    memo[1] |= low
+                memo[0] |= low
+            need &= ~row
+            if not need:
+                return
+
+    def _search_level(self, n: int, bot: bool) -> tuple:
+        """What a search at level n reads, searching Bot or not: con(T|n),
+        the names below n, the goals that are leaves, and per goal name its
+        bit, its cone and the names a node with that goal reads."""
+        got = self._search_levels.get((n, bot))
+        if got is None:
+            below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
+            leaf = 0 if bot else below
+            got = self._search_levels[n, bot] = (self.levels.con_mask(n), below, leaf, {})
+        return got
+
     def label_mask(self, ind: str, n: int) -> int:
         """Top, plus asserted concepts of con(T|n), plus strictly lower
-        concepts the rewriting itself establishes at `ind`.  The label at m
-        is the one at m-1 plus the names of height m-1 proved at `ind`; a
-        loop grows them from the highest stored, storing every level."""
-        labels = self._labels.get(ind, ())
-        if len(labels) > n:
-            return labels[n]
-        asserted = self.tbox.mask_of(self.abox.asserted[ind] & self.tbox.bit_of.keys())
-        while len(labels) <= n:
-            m = len(labels)
-            lab = (labels[-1] if m else TOP_BIT) | asserted & self.levels.con_mask(m)
-            for c, bit in self.levels.by_height[m - 1] if m else ():
-                if self._collapsed_search(c, ind)[0]:
-                    lab |= bit
-            self._labels[ind] = labels = labels + (lab,)
-        return labels[n]
+        concepts the rewriting itself establishes at `ind`: the premise the
+        automaton's states at `ind` carry at level n.  This decides every
+        name below n at `ind`.  A search needs less (see
+        ``_collapsed_search``), so it reads the same memo only where it has
+        decided it."""
+        con, below = self._search_level(n, False)[:2]
+        self._decide(ind, below)
+        return self._asserted_at(ind) & con | self._memo[ind][1] & below
 
     def collapsed(self, concept: str, ind: str) -> bool:
         self.abox.require(ind)
@@ -157,24 +202,38 @@ class Evaluator:
         """BFS over (individual, goal) nodes at the concept's height
         (``LevelMap.height``); returns (answer, parents, hit).
 
+        A node (y, g) reads the label of y at the search level n
+        (``label_mask``) only on the goal's cone (``LevelMap._cone``), and
+        decides only the names it reads.  That is exact.  The cone holds
+        every name from which body->head edges reach g or Bot, so a name
+        outside it derives only names outside it, at y or at any successor.
+        The moves of g read the conjuncts of axioms with head g, which lie
+        in the cone, and whether the closure of the premise plus one name
+        holds g, which names outside the cone cannot change.  So
+        ``goal_moves`` gives the same moves for the premise ``label & cone(g)
+        | Top``, and one cache entry serves every individual whose label
+        agrees there.  The one exception is the Top swap, which goal_moves
+        offers only for the bare premise {Top}; it is dropped when the whole
+        label is not bare, and only then is the whole label decided.
+
         A node (y, g) whose goal lies below the search level n is a leaf:
-        it accepts or it is not expanded.  The start is never one, since its
-        goal has height n.  The leaf rule is sound on a consistent KB.  If
-        an accepting node is reachable from (y, g), the level-n search for g
-        from y is true.  That search equals ``collapsed(g, y)`` at g's own
-        height, because the axioms T|n adds above g reach g only through
-        Bot.  The label at n holds g exactly when g is asserted at y or
-        proved there at its own height, so (y, g) accepts itself.  On an
-        inconsistent KB a higher level can reach a lower goal through Bot,
-        so under ``consistency="none"`` such a KB may answer differently
-        from a search that expands every node.  Bot's own search keeps no
-        leaves (see ``automaton_inconsistent``)."""
+        it accepts or it is not expanded, so it decides only g at y.  The
+        start is never one, since its goal has height n.  The leaf rule is
+        sound on a consistent KB.  If an accepting node is reachable from
+        (y, g), the level-n search for g from y is true.  That search equals
+        ``collapsed(g, y)`` at g's own height, because the axioms T|n adds
+        above g reach g only through Bot.  The label at n holds g exactly
+        when g is asserted at y or proved there at its own height, so (y, g)
+        accepts itself.  On an inconsistent KB a higher level can reach a
+        lower goal through Bot, so under ``consistency="none"`` such a KB
+        may answer differently from a search that expands every node.
+        Bot's own search keeps no leaves (see ``automaton_inconsistent``)."""
         n = self.levels.height(concept)
+        con, below, leaf, goals = self._search_level(n, concept == BOT)
         neighbors = self.abox.neighbors
         goal_moves = self.levels.goal_moves
         name_of = self.levels.name_of
-        bit_of = self.tbox.bit_of
-        leaf = 0 if concept == BOT else self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
+        asserted, memos = self._asserted, self._memo
         start = (ind, concept)
         parents = {start: None}
         queue = deque([start])
@@ -182,13 +241,27 @@ class Evaluator:
             node = queue.popleft()
             self.collapsed_visited += 1
             x, goal = node
-            lab = self.label_mask(x, n)
-            bit = 1 << bit_of[goal]
+            got = goals.get(goal)
+            if got is None:
+                bit = 1 << self.tbox.bit_of[goal]
+                cone = self.levels._cone(bit)
+                got = goals[goal] = (bit, cone, bit if bit & leaf else cone & below)
+            bit, cone, need = got
+            lab = asserted.get(x) or self._asserted_at(x)
+            lab &= con
+            if need:
+                memo = memos.get(x)
+                if memo is None or need & ~memo[0]:
+                    self._decide(x, need)
+                    memo = memos[x]
+                lab |= memo[1] & need
             if lab & (bit | BOT_BIT):
                 return True, parents, node
             if bit & leaf:
                 continue
-            steps, swaps = goal_moves(n, lab, bit)
+            steps, swaps = goal_moves(n, lab & cone | TOP_BIT, bit)
+            if swaps & TOP_BIT and (lab != TOP_BIT or self.label_mask(x, n) != TOP_BIT):
+                swaps ^= TOP_BIT
             succ = []
             for role, name in steps:
                 for y in (x,) if role is None else neighbors(x, role):
@@ -204,14 +277,21 @@ class Evaluator:
         return False, parents, None
 
     def collapsed_witness(self, concept: str, ind: str) -> Optional[RunWitness]:
+        """The path of the search that answers.  A state's premise is what
+        is decided at its individual once the search is done: Top, the
+        asserted names of con(T|n), and the lower names known to hold.  It
+        holds every bit the search read there and is the same at every node
+        of one individual, so a test step keeps it."""
+        self.abox.require(ind)
         found, parents, hit = self._collapsed_search(concept, ind)
         if not found:
             return None
-        n = self.levels.height(concept)
+        con, below = self._search_level(self.levels.height(concept), concept == BOT)[:2]
 
         def state(node):
             x, goal = node
-            return AutState(self.tbox.names_of(self.label_mask(x, n)) | {TOP}, goal)
+            holds = self._memo.get(x, (0, 0))[1]
+            return AutState(self.tbox.names_of(self._asserted[x] & con | holds & below), goal)
 
         return _witness(parents, hit, state, RoleStep)
 
@@ -265,6 +345,7 @@ class Evaluator:
         return False, parents, None
 
     def naive_witness(self, concept: str, ind: str, include_weak: bool = False):
+        self.abox.require(ind)
         found, parents, hit = self._naive_search(concept, ind, include_weak)
         if not found:
             return None
@@ -290,9 +371,10 @@ class Evaluator:
     def automaton_inconsistent(self) -> bool:
         """An asserted Bot, or ``collapsed(Bot, x)`` at some individual x.
         Bot's level lies one above every axiom (``LevelMap.height``), so its
-        labels hold the names of every height, those of the top one too, and
-        its goal moves read the whole TBox.  Differential-tested against the
-        oracle.
+        nodes may read names of every height, those of the top one too, and
+        its goal moves read the whole TBox.  A node decides only the names
+        of its goal's cone, so on a TBox with no Bot axiom each search stops
+        at its start node.  Differential-tested against the oracle.
 
         Bot's search keeps no leaves: it expands every goal it reaches,
         those below its level too.  The leaf rule holds only on a consistent

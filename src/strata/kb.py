@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 TOP = "Top"
 BOT = "Bot"
@@ -57,9 +57,9 @@ class ParseError(KbError):
         self.col = col
 
 
-@dataclass(frozen=True, order=True)
-class Role:
-    """A role name, possibly inverted.  ``invert`` is an involution."""
+class Role(NamedTuple):
+    """A role name, possibly inverted.  ``invert`` is an involution.  A
+    named tuple, so the ABox adjacency hashes and compares it in C."""
 
     name: str
     inverted: bool = False
@@ -187,12 +187,10 @@ def rule_index(subs, conjs, exlefts, heads):
     `back` filler.  `triggers` maps a one-bit mask to [subs, conjs, mask of
     spawn positions] whose body reads that bit; `body_mask` holds them all.
     """
-    # keyed on (name, inverted): hashing a Role dataclass is slow
     by_role, fillers_of = {}, {}
     for role, fbit, rbit, a in exlefts:
-        key = (role.name, role.inverted)
-        by_role.setdefault(key, []).append((fbit, rbit, a))
-        fillers_of[key] = fillers_of.get(key, 0) | fbit
+        by_role.setdefault(role, []).append((fbit, rbit, a))
+        fillers_of[role] = fillers_of.get(role, 0) | fbit
     by_role = {key: tuple(v) for key, v in by_role.items()}
     triggers = {}
 
@@ -210,7 +208,7 @@ def rule_index(subs, conjs, exlefts, heads):
             slot[1].append(conj)
     spawns = []
     for lbit, fbit, a in heads:
-        key, inv = (a.role.name, a.role.inverted), (a.role.name, not a.role.inverted)
+        key, inv = a.role, a.role.invert()
         for slot in slots(lbit | fillers_of.get(inv, 0)):
             slot[2] |= 1 << len(spawns)
         back, fwd = by_role.get(inv, ()), by_role.get(key, ())

@@ -34,7 +34,7 @@ from strata import (
     run_fuzz,
     validate_witness,
 )
-from strata.fuzz import SIZE_CLASSES
+from strata.fuzz import SIZE_CLASSES, _case_seed
 
 from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
 from oracles import goal_moves_scan, level_closer
@@ -535,3 +535,93 @@ def test_visited_counters_respect_laziness_bounds():
     ev2 = Evaluator(tbox, kb.abox, heights)
     ev2.collapsed("D", "a")
     assert ev2.collapsed_visited <= len(kb.abox.individuals) * (len(tbox.concept_names) + 2)
+
+
+def test_every_engine_refuses_an_unknown_individual(tex):
+    ev = Evaluator(*tex)
+    for ask in (ev.collapsed, ev.collapsed_witness, ev.naive, ev.naive_witness):
+        with pytest.raises(KbError, match="unknown individual 'zz'"):
+            ask("D", "zz")
+
+
+# -- labels decided on demand over the goal's cone --------------------------------
+
+
+def _fuzz_kbs(seed, cases):
+    """Every size class's first `cases` fuzz KBs at `seed`, as ``run_fuzz``
+    draws them: odd cases on the drawn height map, even ones on the minimal
+    heights."""
+    for label, limits in SIZE_CLASSES.items():
+        for i in range(cases):
+            tbox, abox, drawn = random_stratified_kb(Random(_case_seed(seed, i)), *limits)
+            yield label, tbox, abox, drawn if i % 2 else heights_for(tbox)[0]
+
+
+def test_a_collapsed_witness_keeps_its_premise_across_every_test_step():
+    """A state's premise is what is decided at its individual, so a test
+    step, which stays there, keeps it, as the automaton's test steps do."""
+    witnesses = 0
+    for label, tbox, abox, heights in _fuzz_kbs(7, 200):
+        ev = Evaluator(tbox, abox, heights)
+        if ev.oracle_inconsistent():
+            continue
+        for concept in tbox.concept_names:
+            for ind in abox.individuals:
+                witness = ev.collapsed_witness(concept, ind)
+                for step in witness or ():
+                    if not isinstance(step.symbol, RoleStep):
+                        assert step.state.premise == step.next_state.premise, (label, step)
+                witnesses += witness is not None
+    assert witnesses == 2824
+
+
+def test_asking_highest_first_or_lowest_first_gives_the_same_answers():
+    for label, tbox, abox, heights in _fuzz_kbs(11, 200):
+        answers = []
+        for highest_first in (True, False):
+            ev = Evaluator(tbox, abox, heights)
+            order = sorted(tbox.concept_names, key=ev.levels.height, reverse=highest_first)
+            answers.append({(c, x): ev.collapsed(c, x) for c in order for x in abox.individuals})
+        assert answers[0] == answers[1], label
+
+
+# Top <= exists r . A puts G everywhere, and x's label {E, F, Top} holds no
+# name of G's cone but Top: the Top swap is offered for the cone's premise
+# {Top}, and x must not take it, since its whole label is not bare
+BARE_CONE_TEXT = """\
+tbox:
+Top <= exists r . A
+exists r . A <= G
+E <= F
+abox:
+E(x)
+r(x, y)
+"""
+
+
+def test_the_top_swap_reads_the_whole_label_not_the_cones():
+    kb = parse_kb(BARE_CONE_TEXT)
+    ev = compile_kb(kb.gcis, kb.abox)
+    answers = {(c, x): ev.collapsed(c, x) for c in ev.tbox.concept_names for x in "xy"}
+    assert answers == {(c, x): ev.oracle(c, x)[0] for c, x in answers}
+    assert {pair for pair, yes in answers.items() if yes} == {
+        ("E", "x"), ("F", "x"), ("G", "x"), ("G", "y")
+    }
+    steps = [
+        (s.source, s.state.label(), str(s.symbol), s.next_state.label(), s.target)
+        for s in ev.collapsed_witness("G", "x")
+    ]
+    assert steps == [("x", "{E,Top} / G", "Top?", "{E,Top} / E", "x")]
+    # y's whole label is bare, so there the Top swap stands
+    (step,) = ev.collapsed_witness("G", "y")
+    assert step.next_state.label() == "{Top} / Top"
+
+
+def test_a_bot_free_tbox_searches_bot_at_one_node_per_individual():
+    r = Role("r")
+    tbox = TBox([ExLeft(r, f"C{k}", f"C{k + 1}") for k in range(20)])
+    inds = [f"a{i}" for i in range(9)]
+    abox = AboxGraph([("C0", "a8")], [(r, x, y) for x, y in zip(inds, inds[1:])], inds)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
+    assert not ev.automaton_inconsistent()
+    assert ev.collapsed_visited == len(inds)
