@@ -37,7 +37,6 @@ from .stratify import (
     Violation,
     check_stratification,
     heights_for,
-    restrict,
     verify_preorder,
 )
 from .saturate import (
@@ -67,4 +66,4 @@ from .evaluate import (
     validate_witness,
 )
 from .qbf import Qbf3Dnf, QbfKb, qbf_to_kb, qbf_valid_bruteforce, random_qbf
-from .fuzz import FuzzReport, random_dllite_tbox, random_stratified_kb, run_case, run_fuzz
+from .fuzz import FuzzReport, random_stratified_kb, run_case, run_fuzz

@@ -13,6 +13,7 @@ import argparse
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 from .evaluate import compile_kb, entails_iq
@@ -21,7 +22,7 @@ from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import export_automaton
 from .saturate import oracle_entails
 from .stratify import NotStratifiedError, heights_for, verify_preorder
-from .fuzz import run_fuzz
+from .fuzz import SIZE_CLASSES, run_fuzz
 
 _QUERY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\(([A-Za-z][A-Za-z0-9_]*)\)$")
 
@@ -184,19 +185,26 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    report = run_fuzz(args.cases, args.seed, jobs=args.jobs)
-    print(f"cases: {report.cases}")
-    print(f"queries: {report.queries}")
-    print(f"disagreements: {len(report.failures)}")
-    if report.failures:
-        f = report.failures[0]
-        print(f"disagreement: case {f.case} (seed {f.seed}) query {f.concept}({f.ind})")
-        for engine, ans in sorted(f.answers.items()):
-            print(f"answer[{engine}]: {ans}")
-        print("kb:")
-        sys.stdout.write(f.kb_text)
-        return 1
-    return 0
+    failed = False
+    for label, limits in SIZE_CLASSES.items():
+        t0 = time.perf_counter()
+        report = run_fuzz(args.cases, args.seed, args.jobs, limits)
+        print(
+            f"class: {label} cases={report.cases} queries={report.queries} "
+            f"witnesses={report.witnesses_checked} top={report.top_level} "
+            f"disagreements={len(report.failures)}"
+        )
+        if args.timings:
+            print(f"elapsed-s: {time.perf_counter() - t0:.3f}")
+        if report.failures:
+            failed = True
+            f = report.failures[0]
+            print(f"disagreement: case {f.case} (seed {f.seed}) query {f.concept}({f.ind})")
+            for engine, ans in sorted(f.answers.items()):
+                print(f"answer[{engine}]: {ans}")
+            print("kb:")
+            sys.stdout.write(f.kb_text)
+    return 1 if failed else 0
 
 
 def _build_parser():

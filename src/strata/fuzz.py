@@ -8,9 +8,9 @@ The harness then runs every (concept, individual) instance query through the
 collapsed engine, the faithful product search (with and without premise
 weakening), and the saturation oracle, all behind the same consistency
 pre-check, and reports any disagreement with a reproducible case seed and
-the offending KB verbatim.  With witness validation, every true answer also
-has both engines' witnesses validated and the oracle's derivation trace
-replayed; a rejected trace is a ``{"trace": message}`` failure.
+the offending KB verbatim.  Every true answer also has both engines'
+witnesses validated and the oracle's derivation trace replayed; a rejected
+trace is a ``{"trace": message}`` failure.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from .kb import (
     BOT,
     TOP,
     AboxGraph,
-    And,
     ConjSub,
     ExLeft,
     ExRight,
-    Exists,
-    Gci,
     KbError,
     Role,
     Sub,
@@ -182,28 +179,6 @@ def random_stratified_kb(
     return tbox, abox, h
 
 
-def random_dllite_tbox(rng: Random, max_names: int = 10):
-    """Random core DL-Lite surface axioms: basic concepts are names or
-    unqualified existentials; inclusions plus disjointness."""
-    n_con = rng.randint(1, max(1, max_names - 2))
-    names = [f"A{i}" for i in range(n_con)]
-    roles = [f"p{i}" for i in range(rng.randint(1, max(1, max_names - n_con)))]
-
-    def basic():
-        kind = rng.random()
-        if kind < 0.5:
-            return rng.choice(names)
-        return Exists(Role(rng.choice(roles), rng.random() < 0.5), TOP)
-
-    gcis = []
-    for _ in range(rng.randint(1, 2 * max_names)):
-        if rng.random() < 0.3:
-            gcis.append(Gci(And(basic(), basic()), BOT))
-        else:
-            gcis.append(Gci(basic(), basic()))
-    return gcis
-
-
 @dataclass
 class FuzzFailure:
     case: int
@@ -231,24 +206,15 @@ def _case_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) & 0x7FFFFFFF
 
 
-def run_case(
-    case: int,
-    case_seed: int,
-    validate_witnesses: bool = False,
-    max_concepts: int = 6,
-    max_roles: int = 3,
-    max_individuals: int = 10,
-    max_gcis: int = 12,
-    max_height: int = 3,
-):
+def run_case(case: int, case_seed: int, limits=SIZE_CLASSES["default"]):
     """One differential case; returns (query count, failures, witness count,
-    highest level evaluated).  An odd `case` runs on the drawn height map,
-    which reaches levels the minimal heights never do.  The witness count
-    covers the two engines' witnesses and the oracle's replayed trace."""
+    highest level evaluated).  `limits` are the generator's, as a
+    ``SIZE_CLASSES`` entry holds them.  An odd `case` runs on the drawn
+    height map, which reaches levels the minimal heights never do.  Every
+    true answer has both engines' witnesses validated and the oracle's
+    trace replayed; the witness count covers all three."""
     rng = Random(case_seed)
-    tbox, abox, drawn = random_stratified_kb(
-        rng, max_concepts, max_roles, max_individuals, max_gcis, max_height
-    )
+    tbox, abox, drawn = random_stratified_kb(rng, *limits)
     order = None
     if case % 2:
         order = {v: drawn[v] for v in (*tbox.concept_names, *tbox.role_names)}
@@ -291,7 +257,7 @@ def run_case(
             if len(set(answers.values())) != 1:
                 fail(concept, ind, answers)
                 continue
-            if validate_witnesses and answers["collapsed"]:
+            if answers["collapsed"]:
                 try:
                     validate_witness(
                         ev.collapsed_witness(concept, ind), abox, ind, oracle_check
@@ -313,22 +279,7 @@ def run_case(
     return queries, failures, witnesses, top
 
 
-def _pool_case(args):
-    case, case_seed, validate_witnesses, limits = args
-    return run_case(case, case_seed, validate_witnesses, *limits)
-
-
-def run_fuzz(
-    cases: int,
-    seed: int,
-    jobs: int = 1,
-    validate_witnesses: bool = False,
-    max_concepts: int = 6,
-    max_roles: int = 3,
-    max_individuals: int = 10,
-    max_gcis: int = 12,
-    max_height: int = 3,
-) -> FuzzReport:
+def run_fuzz(cases: int, seed: int, jobs: int = 1, limits=SIZE_CLASSES["default"]) -> FuzzReport:
     """Run `cases` differential cases; deterministic for a fixed seed.
 
     `jobs` worker processes share the cases; more than the CPU count is
@@ -339,14 +290,13 @@ def run_fuzz(
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise KbError(f"jobs must lie between 1 and the CPU count {cpus}, got {jobs}")
-    limits = (max_concepts, max_roles, max_individuals, max_gcis, max_height)
-    work = [(i, _case_seed(seed, i), validate_witnesses, limits) for i in range(cases)]
+    work = [(i, _case_seed(seed, i), limits) for i in range(cases)]
     if jobs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
-            results = pool.map(_pool_case, work, chunksize=max(1, cases // (8 * jobs)))
+            results = pool.starmap(run_case, work, chunksize=max(1, cases // (8 * jobs)))
     else:
-        results = [_pool_case(args) for args in work]
+        results = [run_case(*args) for args in work]
     report = FuzzReport(cases, 0, [])
     for q, fails, wit, top in results:
         report.queries += q

@@ -645,8 +645,8 @@ def parse_kb(text: str) -> ParsedKb:
         if not line:
             continue
         toks = _Tokens(line, lineno)
-        if line.rstrip().endswith(":") and line.split(":")[0] in ("tbox", "abox", "order"):
-            name = line.split(":")[0]
+        if line in ("tbox:", "abox:", "order:"):
+            name = line[:-1]
             if name in seen_sections:
                 toks.err(f"duplicate {name}: section")
             seen_sections.add(name)

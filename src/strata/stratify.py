@@ -1,5 +1,5 @@
 """Stratification analysis: the least-heights solver, user-order
-verification and completion, and TBox level restriction.
+verification and completion, and the per-level views of a TBox.
 ``heights_for`` decides the heights every pipeline stage runs on.  Its
 callers are ``compile_kb`` (evaluate module), the one front door from a KB
 to an evaluator, and ``strata check``, which prints the fresh names before
@@ -370,25 +370,14 @@ def axiom_level(ax: NormGci, heights: Dict[str, int]) -> int:
     return level
 
 
-def restrict(tbox: TBox, heights: Dict[str, int], n: int) -> TBox:
-    """The sub-TBox of axioms whose every name has height at most n.
-
-    ``restrict(T, h, -1)`` is the empty TBox.  The result shares the parent's
-    concept-bit indexing so masks stay comparable across levels.  This is the
-    paper's T|n as a TBox of its own; the evaluation paths read the same
-    axioms through ``LevelMap.rules_at`` instead.
-    """
-    axioms = [ax for ax in tbox.axioms if axiom_level(ax, heights) <= n]
-    return TBox(axioms, share_index_with=tbox)
-
-
 class LevelRules:
     """T|n's rule views, filtered out of the whole TBox's compiled tuples.
 
     It offers what the rule kernel, the level's ``TypeCloser`` and the
     export read off a ``TBox`` (``triggers``, ``body_mask``, ``spawns``,
-    ``role_names``, ``mask_of``, ``names_of``), equal to those of
-    ``restrict(T, h, n)``, in the same order, without building that TBox.
+    ``role_names``, ``mask_of``, ``names_of``), equal to those of a TBox
+    built from the axioms of T|n alone, in the same order, without building
+    that TBox.
     A spawn keeps only the existential bodies of T|n in its ``back`` and
     ``fwd`` lists.  The level's signature is ``LevelMap.con_mask``'s; the
     goal moves read the axioms of T|n off the whole TBox by level.

@@ -1,6 +1,7 @@
 """Independent test oracles: a bounded naive chase, brute-force preorder
 search, generators for arbitrary (not necessarily stratified) normal-form
-TBoxes, and plain scanning versions of the library's fast paths.  These
+TBoxes and for core DL-Lite axioms, the level restriction T|n as a TBox of
+its own, and plain scanning versions of the library's fast paths.  These
 deliberately re-derive semantics from first principles rather than reusing
 the library's fixpoint machinery.
 """
@@ -14,16 +15,19 @@ from strata import (
     BOT,
     TOP,
     AboxGraph,
+    And,
     ConjSub,
     ExLeft,
     ExRight,
+    Exists,
+    Gci,
     Role,
     Sub,
     TBox,
     TypeCloser,
-    restrict,
 )
 from strata.kb import TOP_BIT
+from strata.stratify import axiom_level
 
 
 def chase(tbox: TBox, abox: AboxGraph, max_depth: int, node_cap: int = 60000):
@@ -199,6 +203,40 @@ def random_abox(rng: Random, names, roles, max_individuals: int = 4) -> AboxGrap
             (Role(rng.choice(roles), rng.random() < 0.3), rng.choice(inds), rng.choice(inds))
         )
     return AboxGraph(concept_asserts, role_asserts, inds)
+
+
+def random_dllite_tbox(rng: Random, max_names: int = 10):
+    """Random core DL-Lite surface axioms: basic concepts are names or
+    unqualified existentials; inclusions plus disjointness."""
+    n_con = rng.randint(1, max(1, max_names - 2))
+    names = [f"A{i}" for i in range(n_con)]
+    roles = [f"p{i}" for i in range(rng.randint(1, max(1, max_names - n_con)))]
+
+    def basic():
+        kind = rng.random()
+        if kind < 0.5:
+            return rng.choice(names)
+        return Exists(Role(rng.choice(roles), rng.random() < 0.5), TOP)
+
+    gcis = []
+    for _ in range(rng.randint(1, 2 * max_names)):
+        if rng.random() < 0.3:
+            gcis.append(Gci(And(basic(), basic()), BOT))
+        else:
+            gcis.append(Gci(basic(), basic()))
+    return gcis
+
+
+def restrict(tbox: TBox, heights, n: int) -> TBox:
+    """The sub-TBox of axioms whose every name has height at most n.
+
+    ``restrict(T, h, -1)`` is the empty TBox.  The result shares the parent's
+    concept-bit indexing so masks stay comparable across levels.  This is the
+    paper's T|n as a TBox of its own; the library reads the same axioms
+    through ``LevelMap.rules_at`` instead.
+    """
+    axioms = [ax for ax in tbox.axioms if axiom_level(ax, heights) <= n]
+    return TBox(axioms, share_index_with=tbox)
 
 
 def level_closer(levels, n: int) -> TypeCloser:

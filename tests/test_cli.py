@@ -11,6 +11,7 @@ import pytest
 
 import strata
 from strata.cli import main
+from strata.fuzz import SIZE_CLASSES
 
 from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT, diamond_kb_text
 
@@ -522,16 +523,42 @@ def test_fuzz_negative_cases_is_a_usage_error(capsys):
     with pytest.raises(KbError, match="cases must be at least 0"):
         run_fuzz(-3, 1)
     assert main(["fuzz", "--cases", "-3"]) == 2
-    assert "error: cases must be at least 0" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: cases must be at least 0" in captured.err
+    assert captured.out == ""
     assert main(["fuzz", "--cases", "0"]) == 0
-    assert "cases: 0" in capsys.readouterr().out
+    assert capsys.readouterr().out == "".join(
+        f"class: {label} cases=0 queries=0 witnesses=0 top=-1 disagreements=0\n"
+        for label in SIZE_CLASSES
+    )
 
 
 def test_fuzz_small(capsys):
-    assert main(["fuzz", "--cases", "25", "--seed", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "cases: 25" in out
-    assert "disagreements: 0" in out
+    assert main(["--timings", "fuzz", "--cases", "25", "--seed", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # under --timings each class line is followed by its elapsed-s line
+    classes, timings = lines[::2], lines[1::2]
+    assert [line.split()[1] for line in classes] == list(SIZE_CLASSES)
+    for line in classes:
+        assert line.startswith("class: ")
+        assert " cases=25 " in line
+        assert line.endswith(" disagreements=0")
+    assert len(timings) == len(classes)
+    assert all(line.startswith("elapsed-s: ") for line in timings)
+
+
+def test_fuzz_prints_the_counts_of_run_fuzz_for_every_class(capsys):
+    from strata import run_fuzz
+
+    assert main(["fuzz", "--cases", "20", "--seed", "42"]) == 0
+    want = []
+    for label, limits in SIZE_CLASSES.items():
+        rep = run_fuzz(20, 42, 1, limits)
+        want.append(
+            f"class: {label} cases=20 queries={rep.queries} "
+            f"witnesses={rep.witnesses_checked} top={rep.top_level} disagreements=0\n"
+        )
+    assert capsys.readouterr().out == "".join(want)
 
 
 def test_fuzz_prints_first_counterexample_verbatim(capsys, monkeypatch):
@@ -555,9 +582,16 @@ def test_fuzz_prints_first_counterexample_verbatim(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_fuzz", lambda *a, **k: fake)
     assert main(["fuzz", "--cases", "3", "--seed", "1"]) == 1
     out = capsys.readouterr().out
-    assert "disagreement: case 1 (seed 424243) query B(a0)" in out
-    assert "answer[naive]: False" in out
-    assert "tbox:\nA <= B\nabox:\nA(a0)\n" in out
+    block = (
+        "class: {} cases=3 queries=9 witnesses=0 top=-1 disagreements=1\n"
+        "disagreement: case 1 (seed 424243) query B(a0)\n"
+        "answer[collapsed]: True\n"
+        "answer[naive]: False\n"
+        "answer[oracle]: True\n"
+        "kb:\n"
+        "tbox:\nA <= B\nabox:\nA(a0)\n"
+    )
+    assert out == "".join(block.format(label) for label in SIZE_CLASSES)
 
 
 def test_fuzz_jobs_beyond_cpu_count_start_no_pool(capsys, monkeypatch):
@@ -575,7 +609,9 @@ def test_fuzz_jobs_beyond_cpu_count_start_no_pool(capsys, monkeypatch):
         with pytest.raises(KbError, match="CPU count"):
             run_fuzz(4, 1, jobs=jobs)
     assert main(["fuzz", "--cases", "4", "--jobs", str(too_many)]) == 2
-    assert "CPU count" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "CPU count" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -601,3 +637,19 @@ def test_parse_error_position_reported(tmp_path, capsys):
     p.write_text("tbox:\nA <= <= B\n", encoding="utf-8")
     assert main(["check", str(p)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["tbox: A <= B:\nabox:\nA(a)\n", "tbox:\nA <= B\nabox: C(a):\nA(a)\n"],
+    ids=["tbox", "abox"],
+)
+def test_a_header_with_content_is_a_parse_error(tmp_path, capsys, text):
+    with pytest.raises(strata.ParseError):
+        strata.parse_kb(text)
+    p = tmp_path / "header.kb"
+    p.write_text(text, encoding="utf-8")
+    assert main(["ask", str(p), "--query", "B(a)"]) == 2
+    captured = capsys.readouterr()
+    assert "error: line " in captured.err
+    assert captured.out == ""

@@ -348,9 +348,9 @@ def test_swap_mask_matches_the_exhaustive_scan_on_qbf_reductions(seed, n, m):
 
 
 def test_fuzz_evaluates_tall_strata_under_the_drawn_orders():
-    # the tall class as scripts/run_fuzz.py runs it; its odd cases use the
-    # drawn height map, whose levels the minimal heights (at most 3) miss
-    report = run_fuzz(40, 42, 1, True, *SIZE_CLASSES["tall"])
+    # the tall class as `strata fuzz` runs it; its odd cases use the drawn
+    # height map, whose levels the minimal heights (at most 3) miss
+    report = run_fuzz(40, 42, 1, SIZE_CLASSES["tall"])
     assert report.ok, report.failures[:1]
     assert report.witnesses_checked > 0
     assert report.top_level >= 6

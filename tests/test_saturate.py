@@ -22,7 +22,6 @@ from strata import (
     parse_kb,
     random_stratified_kb,
     replay_derivation,
-    restrict,
     saturate_abox,
 )
 from strata import saturate
@@ -30,7 +29,14 @@ from strata.fuzz import SIZE_CLASSES
 from strata.saturate import _fire
 
 from conftest import diamond_kb_text
-from oracles import chase, fire_scan, random_abox, random_normal_tbox, saturate_per_node
+from oracles import (
+    chase,
+    fire_scan,
+    random_abox,
+    random_normal_tbox,
+    restrict,
+    saturate_per_node,
+)
 
 # every fuzz size class but the tall one, which would multiply the test time
 FUZZ_CLASSES = pytest.mark.parametrize(

@@ -26,9 +26,7 @@ from strata import (
     heights_for,
     normalize,
     parse_kb,
-    random_dllite_tbox,
     random_stratified_kb,
-    restrict,
     saturate_abox,
     verify_preorder,
 )
@@ -43,7 +41,9 @@ from oracles import (
     bruteforce_min_heights,
     bruteforce_stratified,
     order_admits,
+    random_dllite_tbox,
     random_normal_tbox,
+    restrict,
 )
 
 EX3_HEIGHTS = {"A": 0, "B": 1, "C": 2, "r": 2, "D": 3}
