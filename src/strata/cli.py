@@ -17,14 +17,16 @@ import time
 from pathlib import Path
 
 from .evaluate import compile_kb, entails_iq
-from .kb import KbError, ParseError, RESERVED, _is_name, kb_from_normal, normalize_kb, parse_kb
+from .kb import (
+    NAME_PATTERN, RESERVED, KbError, ParseError, _is_name, kb_from_normal, normalize_kb, parse_kb,
+)
 from .qbf import qbf_to_kb, qbf_valid_bruteforce, random_qbf
 from .rewrite import export_automaton
 from .saturate import oracle_entails
 from .stratify import NotStratifiedError, heights_for, verify_preorder
 from .fuzz import SIZE_CLASSES, run_fuzz
 
-_QUERY_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\(([A-Za-z][A-Za-z0-9_]*)\)$")
+_QUERY_RE = re.compile(rf"^({NAME_PATTERN})\(({NAME_PATTERN})\)$")
 
 
 def _load(path: str):

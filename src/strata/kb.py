@@ -17,7 +17,8 @@ The text format is line oriented, UTF-8, with ``#`` comments:
     C r
     D
 
-Names match ``[A-Za-z][A-Za-z0-9_]*``.  ``Top``/``top`` and ``Bot``/``bot``
+Names match ``[A-Za-z][A-Za-z0-9_]*``, so they are ASCII: any other letter
+is a parse error.  ``Top``/``top`` and ``Bot``/``bot``
 are reserved concept spellings, ``exists`` and ``inv`` are keywords.
 ``inv r`` denotes the inverse of role ``r``.  The parser accepts arbitrary
 nesting of ``&``/``exists`` (with parentheses); the normalizer reduces
@@ -37,7 +38,11 @@ BOT = "Bot"
 TOP_BIT = 1
 BOT_BIT = 2
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# the one spelling of a name; the tokenizer, `_is_name` and the CLI's query
+# pattern are all built from it
+NAME_PATTERN = "[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(NAME_PATTERN)
+_TOKEN_RE = re.compile(rf"\s*(<=|{NAME_PATTERN}|\S)")
 # Parsing, normalizing, hashing and printing concepts all recurse on their
 # structure; this bound keeps every such pass far inside Python's recursion
 # limit, so over-deep input is a ParseError rather than a RecursionError.
@@ -144,18 +149,24 @@ class ExLeft:
 NormGci = Union[Sub, ConjSub, ExRight, ExLeft]
 
 
-def format_axiom(ax) -> str:
-    if isinstance(ax, Sub):
-        return f"{ax.lhs} <= {ax.rhs}"
-    if isinstance(ax, ConjSub):
-        return f"{ax.lhs1} & {ax.lhs2} <= {ax.rhs}"
-    if isinstance(ax, ExRight):
-        return f"{ax.lhs} <= exists {ax.role} . {ax.filler}"
-    if isinstance(ax, ExLeft):
-        return f"exists {ax.role} . {ax.filler} <= {ax.rhs}"
+def _as_gci(ax) -> Gci:
+    """A normal-form axiom as the surface GCI of its shape; a GCI as itself."""
     if isinstance(ax, Gci):
-        return f"{format_concept(ax.lhs)} <= {format_concept(ax.rhs)}"
+        return ax
+    if isinstance(ax, Sub):
+        return Gci(ax.lhs, ax.rhs)
+    if isinstance(ax, ConjSub):
+        return Gci(And(ax.lhs1, ax.lhs2), ax.rhs)
+    if isinstance(ax, ExRight):
+        return Gci(ax.lhs, Exists(ax.role, ax.filler))
+    if isinstance(ax, ExLeft):
+        return Gci(Exists(ax.role, ax.filler), ax.rhs)
     raise TypeError(f"not an axiom: {ax!r}")
+
+
+def format_axiom(ax) -> str:
+    g = _as_gci(ax)
+    return f"{format_concept(g.lhs)} <= {format_concept(g.rhs)}"
 
 
 def axiom_names(ax: NormGci):
@@ -431,15 +442,8 @@ class ParsedKb:
 
     def role_names(self) -> frozenset:
         """The role names the TBox or the ABox uses."""
-        names = {role.name for role, _, _ in self.abox.role_asserts()}
-        stack = [c for g in self.gcis for c in (g.lhs, g.rhs)]
-        while stack:
-            c = stack.pop()
-            if isinstance(c, And):
-                stack += (c.lhs, c.rhs)
-            elif isinstance(c, Exists):
-                names.add(c.role.name)
-                stack.append(c.filler)
+        names = _surface_names(self.gcis)[1]
+        names.update(role.name for role, _, _ in self.abox.role_asserts())
         return frozenset(names)
 
 
@@ -449,33 +453,30 @@ class ParsedKb:
 
 
 class _Tokens:
+    """One line's tokens: ``<=``, a name, or any other non-space character.
+
+    The line is split once; an error's column is worked out only when it is
+    raised: the start of the next token after a peek (the line's end if there
+    is none), the end of the last token after a take."""
+
     def __init__(self, text: str, line: int):
         self.text = text
         self.line = line
-        self.pos = 0
+        self.toks = _TOKEN_RE.findall(text) + [None]
+        self.i = 0
+        self.taken = False  # whether the last move was a take
         self.depth = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isalpha():
-            m = _NAME_RE.match(self.text, self.pos)
-            return m.group(0)
-        if self.text.startswith("<=", self.pos):
-            return "<="
-        return ch
+        self.taken = False
+        return self.toks[self.i]
 
     def take(self):
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok is None:
             self.err("unexpected end of line")
-        self.pos += len(tok)
+        self.i += 1
+        self.taken = True
         return tok
 
     def expect(self, what: str):
@@ -483,8 +484,18 @@ class _Tokens:
         if tok != what:
             self.err(f"expected {what!r}, found {tok!r}")
 
-    def col(self) -> int:
-        return self.pos + 1
+    def name(self, what: str) -> str:
+        """Take a name (a reserved spelling counts), or fail naming `what`."""
+        tok = self.take()
+        if not _is_name(tok):
+            self.err(f"expected {what}, found {tok!r}")
+        return tok
+
+    def end(self):
+        """Fail unless the line has no token left."""
+        tok = self.peek()
+        if tok is not None:
+            self.err(f"trailing input: {tok!r}")
 
     def enter(self):
         """Open a parenthesis or an exists; the parser recurses once per level."""
@@ -493,7 +504,14 @@ class _Tokens:
             self.err(f"concept nested deeper than {MAX_NESTING} levels")
 
     def err(self, message: str):
-        raise ParseError(message, self.line, self.col())
+        spans = [m.span(1) for m in _TOKEN_RE.finditer(self.text)]
+        if self.taken:
+            col = spans[self.i - 1][1] + 1
+        elif self.i < len(spans):
+            col = spans[self.i][0] + 1
+        else:
+            col = len(self.text) + 1
+        raise ParseError(message, self.line, col)
 
 
 def _is_name(tok) -> bool:
@@ -515,12 +533,11 @@ class _KindTable:
 
 
 def _parse_role(toks: _Tokens, kinds: _KindTable) -> Role:
-    tok = toks.take()
-    inverted = False
-    if tok == "inv":
-        inverted = True
-        tok = toks.take()
-    if not _is_name(tok) or tok in RESERVED:
+    inverted = toks.peek() == "inv"
+    if inverted:
+        toks.take()
+    tok = toks.name("a role name")
+    if tok in RESERVED:
         toks.err(f"expected a role name, found {tok!r}")
     kinds.use(tok, "role", toks)
     return Role(tok, inverted)
@@ -579,8 +596,7 @@ def _parse_gci_line(toks: _Tokens, kinds: _KindTable) -> Gci:
     lhs = _parse_concept(toks, kinds)
     toks.expect("<=")
     rhs = _parse_concept(toks, kinds)
-    if toks.peek() is not None:
-        toks.err(f"trailing input: {toks.peek()!r}")
+    toks.end()
     # a long flat conjunction parses iteratively but nests one And per '&'
     if max(_height(lhs), _height(rhs)) > MAX_NESTING:
         toks.err(f"concept nested deeper than {MAX_NESTING} levels")
@@ -588,17 +604,12 @@ def _parse_gci_line(toks: _Tokens, kinds: _KindTable) -> Gci:
 
 
 def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
-    tok = toks.take()
-    inverted = False
-    if tok == "inv":
-        inverted = True
-        tok = toks.take()
-    if not _is_name(tok):  # a reserved spelling is a name here
-        toks.err(f"expected a concept or role name, found {tok!r}")
+    inverted = toks.peek() == "inv"
+    if inverted:
+        toks.take()
+    tok = toks.name("a concept or role name")
     toks.expect("(")
-    first = toks.take()
-    if not _is_name(first):
-        toks.err(f"expected an individual name, found {first!r}")
+    first = toks.name("an individual name")
     kinds.use(first, "individual", toks)
     nxt = toks.take()
     if nxt == ")":
@@ -608,18 +619,14 @@ def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
         if concept is None:
             concept = tok
             kinds.use(tok, "concept", toks)
-        if toks.peek() is not None:
-            toks.err(f"trailing input: {toks.peek()!r}")
+        toks.end()
         return ("concept", concept, first)
     if nxt != ",":
         toks.err(f"expected ',' or ')', found {nxt!r}")
-    second = toks.take()
-    if not _is_name(second):
-        toks.err(f"expected an individual name, found {second!r}")
+    second = toks.name("an individual name")
     kinds.use(second, "individual", toks)
     toks.expect(")")
-    if toks.peek() is not None:
-        toks.err(f"trailing input: {toks.peek()!r}")
+    toks.end()
     if tok in RESERVED:
         toks.err(f"{tok!r} is not a role")
     kinds.use(tok, "role", toks)
@@ -644,16 +651,16 @@ def parse_kb(text: str) -> ParsedKb:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = _Tokens(line, lineno)
         if line in ("tbox:", "abox:", "order:"):
             name = line[:-1]
             if name in seen_sections:
-                toks.err(f"duplicate {name}: section")
+                raise ParseError(f"duplicate {name}: section", lineno, 1)
             seen_sections.add(name)
             section = name
             continue
         if section is None:
-            toks.err("content before the first section header")
+            raise ParseError("content before the first section header", lineno, 1)
+        toks = _Tokens(line, lineno)
         if section == "tbox":
             gcis.append(_parse_gci_line(toks, kinds))
         elif section == "abox":
@@ -668,17 +675,14 @@ def parse_kb(text: str) -> ParsedKb:
                 role_asserts.append((role, a, b))
         else:  # order
             level = []
-            while toks.peek() is not None:
-                col = toks.col()
-                tok = toks.take()
-                if not _is_name(tok):
-                    toks.err(f"expected a name, found {tok!r}")
+            while (tok := toks.peek()) is not None:
+                # a placed name passed the checks below, so this one may come
+                # first and point at the name's start
+                if tok in order_lines:
+                    toks.err(f"{tok!r} is already in order: on line {order_lines[tok]}")
+                toks.name("a name")
                 if tok in RESERVED:
                     toks.err("Top and Bot have fixed height 0 and never appear in order:")
-                if tok in order_lines:
-                    raise ParseError(
-                        f"{tok!r} is already in order: on line {order_lines[tok]}", lineno, col
-                    )
                 order_lines[tok] = lineno
                 level.append(tok)
             if level:
@@ -709,19 +713,9 @@ def format_kb(kb: ParsedKb) -> str:
 
 def kb_from_normal(tbox: TBox, abox: AboxGraph, order_levels=None) -> ParsedKb:
     """Wrap a normal-form TBox as a ParsedKb so it can be printed."""
-    gcis = []
-    for ax in tbox.axioms:
-        if isinstance(ax, Sub):
-            gcis.append(Gci(ax.lhs, ax.rhs))
-        elif isinstance(ax, ConjSub):
-            gcis.append(Gci(And(ax.lhs1, ax.lhs2), ax.rhs))
-        elif isinstance(ax, ExRight):
-            gcis.append(Gci(ax.lhs, Exists(ax.role, ax.filler)))
-        else:
-            gcis.append(Gci(Exists(ax.role, ax.filler), ax.rhs))
     if order_levels is not None:
         order_levels = tuple(map(tuple, order_levels))
-    return ParsedKb(tuple(gcis), abox, order_levels)
+    return ParsedKb(tuple(map(_as_gci, tbox.axioms)), abox, order_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -836,24 +830,20 @@ class _Normalizer:
 
 
 def _surface_names(gcis):
-    """The concept and role names the GCIs use."""
-    names = set()
-
-    def walk(c):
+    """The concept names (Top and Bot aside) and the role names the GCIs use,
+    as two sets."""
+    concepts, roles = set(), set()
+    stack = [c for g in gcis for c in (g.lhs, g.rhs)]
+    while stack:
+        c = stack.pop()
         if isinstance(c, str):
-            if c not in (TOP, BOT):
-                names.add(c)
+            concepts.add(c)
         elif isinstance(c, And):
-            walk(c.lhs)
-            walk(c.rhs)
+            stack += (c.lhs, c.rhs)
         else:
-            names.add(c.role.name)
-            walk(c.filler)
-
-    for g in gcis:
-        walk(g.lhs)
-        walk(g.rhs)
-    return names
+            roles.add(c.role.name)
+            stack.append(c.filler)
+    return concepts - {TOP, BOT}, roles
 
 
 def normalize(gcis: Iterable[Gci], reserved: Iterable[str] = ()):
@@ -867,7 +857,8 @@ def normalize(gcis: Iterable[Gci], reserved: Iterable[str] = ()):
     conservative only over names it does not reuse.
     """
     gcis = tuple(gcis)
-    norm = _Normalizer(_surface_names(gcis).union(reserved))
+    concepts, roles = _surface_names(gcis)
+    norm = _Normalizer(concepts.union(roles, reserved))
     for g in gcis:
         norm.norm_axiom(g.lhs, g.rhs)
     return TBox(norm.out), dict(norm.provenance)

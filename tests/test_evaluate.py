@@ -1,5 +1,6 @@
 """The evaluation engines, the pipeline, witnesses, and their validator."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from strata import (
     qbf_to_kb,
     random_qbf,
     random_stratified_kb,
+    run_case,
     run_fuzz,
     validate_witness,
 )
@@ -356,6 +358,49 @@ def test_fuzz_evaluates_tall_strata_under_the_drawn_orders():
     assert report.top_level >= 6
 
 
+# two fuzz cases with true answers; case 3 is odd, so its KB text carries the
+# drawn heights as an order: section
+@pytest.mark.parametrize("case", [0, 3])
+def test_run_case_reports_a_flipped_answer_with_its_kb_text(case, monkeypatch):
+    collapsed = Evaluator.collapsed
+    monkeypatch.setattr(Evaluator, "collapsed", lambda self, c, x: not collapsed(self, c, x))
+    queries, failures, witnesses, _ = run_case(case, _case_seed(42, case))
+    assert queries > 0 and len(failures) == queries and witnesses == 0
+    for f in failures:
+        assert (f.case, f.seed) == (case, _case_seed(42, case))
+        assert set(f.answers) == {"collapsed", "naive", "oracle", "naive_weak"}
+        assert f.answers["naive"] == f.answers["naive_weak"] == f.answers["oracle"]
+        assert f.answers["collapsed"] != f.answers["oracle"]
+    kb = parse_kb(failures[0].kb_text)
+    assert (kb.order_levels is not None) == (case % 2 == 1)
+    ev = compile_kb(kb.gcis, kb.abox, kb.order)
+    # the printed KB reproduces the case
+    assert [ev.oracle(f.concept, f.ind)[0] for f in failures] == [
+        f.answers["oracle"] for f in failures
+    ]
+
+
+def test_run_case_reports_a_broken_witness(monkeypatch):
+    monkeypatch.setattr(Evaluator, "collapsed_witness", lambda self, c, x: ())
+    _, failures, witnesses, _ = run_case(0, _case_seed(42, 0))
+    assert failures and witnesses == 0
+    assert all(f.answers == {"witness": "empty witness"} for f in failures)
+
+
+def test_run_case_reports_a_broken_trace(monkeypatch):
+    oracle = Evaluator.oracle
+
+    def no_steps(self, c, x, want_trace=False):
+        answer, trace = oracle(self, c, x, want_trace)
+        return answer, None if trace is None else []
+
+    monkeypatch.setattr(Evaluator, "oracle", no_steps)
+    _, failures, _, _ = run_case(0, _case_seed(42, 0))
+    assert failures
+    for f in failures:
+        assert f.answers == {"trace": f"the trace does not derive {f.concept}({f.ind})"}
+
+
 @settings(max_examples=50)
 @given(st.integers(0, 1_000_000))
 def test_three_engines_agree(seed):
@@ -501,6 +546,69 @@ def test_validator_rejects_broken_witnesses():
         validate_witness(forged, abox, "a0", lambda c, x: True)
     with pytest.raises(KbError, match="starts at"):
         validate_witness(wit, abox, "a1", lambda c, x: True)
+
+
+def _forge(steps, i, **fields):
+    """`steps` with the given fields of step i replaced."""
+    return (*steps[:i], replace(steps[i], **fields), *steps[i + 1 :])
+
+
+def _holds(concept, ind):
+    return True
+
+
+# One forged witness per raise site of `validate_witness`: (forgery, nested
+# checker, message).  Each edits the naive witness of A(a0) on the chain
+# a0 -r-> a1 -r-> a2 with A(a2), whose steps are r, r and the test A? at a2.
+FORGED_WITNESSES = {
+    "empty": (lambda w: (), _holds, "empty witness"),
+    "wrong start": (lambda w: w[1:], _holds, "starts at a1, not a0"),
+    "unchained": (lambda w: _forge(w, 1, source="a0"), _holds, "do not chain"),
+    "missing edge": (
+        lambda w: _forge(w, 0, symbol=RoleStep(Role("r", True))),
+        _holds,
+        r"no ABox edge inv r\(a0, a1\)",
+    ),
+    "moving concept test": (lambda w: _forge(w, 2, target="a1"), _holds, "must not move"),
+    "moving aut test": (
+        lambda w: _forge(w, 2, symbol=AutoTest("A"), target="a1"),
+        _holds,
+        "must not move",
+    ),
+    "failing concept test": (
+        lambda w: _forge(w, 2, symbol=ConceptTest("B")),
+        _holds,
+        r"test B\? fails at a2",
+    ),
+    "nested test, no checker": (
+        lambda w: _forge(w, 2, symbol=AutoTest("A")),
+        None,
+        "no checker was given",
+    ),
+    "failing nested test": (
+        lambda w: _forge(w, 2, symbol=AutoTest("A")),
+        lambda c, x: False,
+        r"nested test aut\[A\]\? fails at a2",
+    ),
+    "unknown symbol": (lambda w: _forge(w, 2, symbol="A?"), _holds, r"unknown symbol 'A\?'"),
+    "not accepting": (
+        lambda w: _forge(w, 2, next_state=w[2].state),
+        _holds,
+        r"final state \{Top\} / A is not accepting",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FORGED_WITNESSES))
+def test_validator_rejects_each_forged_witness(case):
+    forge, checker, message = FORGED_WITNESSES[case]
+    tbox, heights = _reach()
+    abox = _chain(2)
+    wit = Evaluator(tbox, abox, heights).naive_witness("A", "a0")
+    assert [type(s.symbol) for s in wit] == [RoleStep, RoleStep, ConceptTest]
+    validate_witness(wit, abox, "a0", checker)
+    with pytest.raises(KbError, match=message):
+        validate_witness(forge(wit), abox, "a0", checker)
 
 
 def test_a_goal_below_the_search_level_is_a_leaf():

@@ -97,6 +97,32 @@ def test_parse_rejects_a_name_on_two_order_lines(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 8, col 4: 'B' is already in order: on line 7\n"
 
 
+# a non-ASCII letter in each section: names are ASCII, so the letter is a
+# token of its own that the grammar rejects; (KB text, line, col, message)
+NON_ASCII = {
+    "tbox": ("tbox:\né <= B\nabox:\nB(a)\n", 2, 1, "expected a concept, found 'é'"),
+    "abox": ("tbox:\nA <= B\nabox:\nA(é)\n", 4, 4, "expected an individual name, found 'é'"),
+    "order": (
+        "tbox:\nA <= B\nabox:\nA(a)\norder:\nA é B\n",
+        6,
+        4,
+        "expected a name, found 'é'",
+    ),
+}
+
+
+@pytest.mark.parametrize("section", list(NON_ASCII))
+def test_a_non_ascii_letter_is_a_parse_error(section, tmp_path, capsys):
+    text, line, col, message = NON_ASCII[section]
+    with pytest.raises(ParseError) as err:
+        parse_kb(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    p = tmp_path / "non-ascii.kb"
+    p.write_text(text, encoding="utf-8")
+    assert main(["check", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}, col {col}: {message}\n"
+
+
 OVER_DEEP = {
     "parentheses": "(" * 3000 + "A" + ")" * 3000 + " <= B",
     "exists": "exists r . " * 2000 + "A <= B",

@@ -1,5 +1,7 @@
 """The saturation oracle: type closure, ABox saturation, traces."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from random import Random
@@ -11,6 +13,7 @@ from strata import (
     ConjSub,
     ExLeft,
     ExRight,
+    Gci,
     KbError,
     Role,
     Sub,
@@ -221,6 +224,55 @@ def test_oracle_worked_example_with_trace(tex):
     ans, trace = oracle_entails(tbox, abox, "D", "a", want_trace=True)
     assert ans and trace
     assert replay_derivation(tbox, abox, trace, "D", "a")
+
+
+_R = Role("r")
+# One forged trace per raise site of `replay_derivation`: (step, its replaced
+# fields, message).  Each edits one step of the worked example's trace of D(a):
+# A <= B, A & B <= C, C <= exists r . Top (successor n1), exists r . Top <= D.
+FORGED_TRACES = {
+    "Top before its individual": (
+        0,
+        dict(axiom=Sub(TOP, "B"), adds=(("concept", "B", "n9"),)),
+        r"Top\(n9\) used but n9 never introduced",
+    ),
+    "fact before it is derived": (
+        1,
+        dict(axiom=ConjSub("A", "D", "C")),
+        r"step uses D\(a\) before it is derived",
+    ),
+    "sub that does not match": (0, dict(adds=(("concept", "C", "a"),)), "does not match its axiom"),
+    "conj that does not match": (1, dict(adds=(("concept", "B", "a"),)), "does not match its axiom"),
+    "exists-right that does not match": (
+        2,
+        dict(adds=(("role", Role("s"), "a", "n1"), ("concept", TOP, "n1"))),
+        "does not match its axiom",
+    ),
+    "exists-left that does not match": (
+        3,
+        dict(adds=(("concept", "C", "a"),)),
+        "does not match its axiom",
+    ),
+    "successor not fresh": (
+        2,
+        dict(adds=(("role", _R, "a", "a"), ("concept", TOP, "a"))),
+        "successor a is not fresh",
+    ),
+    "no role edge": (3, dict(uses=(("concept", TOP, "n1"),)), "no role edge supports"),
+    "unknown axiom": (0, dict(axiom=Gci("A", "B")), "unknown axiom in step"),
+}
+
+
+@pytest.mark.parametrize("case", list(FORGED_TRACES))
+def test_replay_rejects_each_forged_step(tex, case):
+    i, fields, message = FORGED_TRACES[case]
+    tbox, abox, _ = tex
+    trace = oracle_entails(tbox, abox, "D", "a", want_trace=True)[1]
+    assert [type(st.axiom) for st in trace] == [Sub, ConjSub, ExRight, ExLeft]
+    assert trace[2].adds[0] == ("role", _R, "a", "n1")
+    forged = [*trace[:i], replace(trace[i], **fields), *trace[i + 1 :]]
+    with pytest.raises(KbError, match=message):
+        replay_derivation(tbox, abox, forged, "D", "a")
 
 
 def test_a_trace_longer_than_the_recursion_limit_replays():
