@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 TOP = "Top"
 BOT = "Bot"
 # the bits of Top and Bot in every concept mask: ``TBox`` gives them bits 0
-# and 1, and a TBox sharing an index inherits them
+# and 1
 TOP_BIT = 1
 BOT_BIT = 2
 
@@ -185,18 +185,35 @@ def axiom_names(ax: NormGci):
     raise TypeError(f"not a normal-form axiom: {ax!r}")
 
 
-def rule_index(subs, conjs, exlefts, heads):
-    """(spawns, triggers, body_mask) for ``saturate._fire``, over rule tuples
-    in axiom order: a ``TBox``'s own, or a level's selection of them.
+class Rules(NamedTuple):
+    """The rule tuples of a TBox, or of one level T|n of it, in axiom order,
+    with their trigger index: all that the rule kernel
+    (``saturate._fire``), the type closers and the export read.
 
-    `subs` holds (lbit, rbit, axiom), `conjs` (lmask, rbit, axiom), `exlefts`
-    (role, fbit, rbit, axiom) and `heads` (lbit, fbit, axiom), one per
-    existential head.  A spawn is (lbit, fbit, axiom, back, fwd, fwd_mask):
-    `back` lists the existential bodies (fbit, rbit, axiom) the successor
-    reads off its parent (over the inverse role), `fwd` those the parent
-    reads off it, `fwd_mask` their fillers; its body is its lhs plus every
-    `back` filler.  `triggers` maps a one-bit mask to [subs, conjs, mask of
-    spawn positions] whose body reads that bit; `body_mask` holds them all.
+    `subs` holds (lbit, rbit, axiom), `conjs` (lmask, rbit, axiom) and
+    `exlefts` (role, fbit, rbit, axiom).  A spawn, one per existential head,
+    is (lbit, fbit, axiom, back, fwd, fwd_mask): `back` lists the
+    existential bodies (fbit, rbit, axiom) the successor reads off its
+    parent (over the inverse role), `fwd` those the parent reads off it,
+    `fwd_mask` their fillers; its body is its lhs plus every `back` filler.
+    `triggers` maps a one-bit mask to [subs, conjs, mask of spawn positions]
+    whose body reads that bit; `body_mask` holds them all.  `role_names` are
+    the role names the rules use, sorted.
+    """
+
+    subs: tuple
+    conjs: tuple
+    exlefts: tuple
+    spawns: tuple
+    triggers: dict
+    body_mask: int
+    role_names: tuple
+
+
+def rule_index(subs, conjs, exlefts, heads) -> Rules:
+    """The ``Rules`` of rule tuples in axiom order: a ``TBox``'s own, or a
+    level's selection of them.  `heads` holds (lbit, fbit, axiom), one per
+    existential head; the other three are as ``Rules`` holds them.
     """
     by_role, fillers_of = {}, {}
     for role, fbit, rbit, a in exlefts:
@@ -224,24 +241,28 @@ def rule_index(subs, conjs, exlefts, heads):
             slot[2] |= 1 << len(spawns)
         back, fwd = by_role.get(inv, ()), by_role.get(key, ())
         spawns.append((lbit, fbit, a, back, fwd, fillers_of.get(key, 0)))
-    return tuple(spawns), triggers, sum(triggers)
+    roles = {role.name for role, _, _, _ in exlefts} | {a.role.name for _, _, a in heads}
+    return Rules(
+        tuple(subs),
+        tuple(conjs),
+        tuple(exlefts),
+        tuple(spawns),
+        triggers,
+        sum(triggers),
+        tuple(sorted(roles)),
+    )
 
 
 class TBox:
     """An immutable set of normal-form axioms with lookup indexes.
 
     Concept names are assigned bit positions (Top=bit 0, Bot=bit 1) so that
-    sets of concepts can be carried around as integer masks.  A TBox built
-    with ``share_index_with`` reuses the parent's bit assignment, which keeps
-    masks compatible between a TBox and its height restrictions.
+    sets of concepts can be carried around as integer masks; `extra_concepts`
+    get bits too, though no axiom mentions them.  ``rules`` holds the
+    compiled rules, over those bits.
     """
 
-    def __init__(
-        self,
-        axioms: Iterable[NormGci],
-        share_index_with: "TBox" = None,
-        extra_concepts: Iterable[str] = (),
-    ):
+    def __init__(self, axioms: Iterable[NormGci], extra_concepts: Iterable[str] = ()):
         seen = set()
         ordered = []
         for ax in axioms:
@@ -267,15 +288,9 @@ class TBox:
         self.role_names = tuple(sorted(rols))
         self.bot_occurs = bot_occurs
 
-        if share_index_with is not None:
-            self.bit_of = share_index_with.bit_of
-        else:
-            self.bit_of = {TOP: 0, BOT: 1}
-            for i, c in enumerate(self.concept_names):
-                self.bit_of[c] = i + 2
-        missing = [c for c in self.concept_names if c not in self.bit_of]
-        if missing:
-            raise KbError(f"shared index lacks concepts {missing}")
+        self.bit_of = {TOP: 0, BOT: 1}
+        for i, c in enumerate(self.concept_names):
+            self.bit_of[c] = i + 2
         self._name_of = {b: c for c, b in self.bit_of.items()}
 
         sig = TOP_BIT
@@ -285,7 +300,6 @@ class TBox:
             sig |= BOT_BIT
         self.signature_mask = sig
 
-        # Compiled rule views for the fixpoint engines, in axiom order.
         bit_of = self.bit_of
         subs, conjs, exlefts, heads = [], [], [], []
         for a in self.axioms:
@@ -298,8 +312,7 @@ class TBox:
                 exlefts.append((a.role, 1 << bit_of[a.filler], 1 << bit_of[a.rhs], a))
             else:
                 heads.append((1 << bit_of[a.lhs], 1 << bit_of[a.filler], a))
-        self.subs, self.conjs, self.exlefts = tuple(subs), tuple(conjs), tuple(exlefts)
-        self.spawns, self.triggers, self.body_mask = rule_index(subs, conjs, exlefts, heads)
+        self.rules = rule_index(subs, conjs, exlefts, heads)
 
         rhs_index = {}
         for a in self.axioms:
@@ -815,9 +828,6 @@ class _Normalizer:
                 l1 = self.define_neg(l1)
             if not _is_atomic(l2):
                 l2 = self.define_neg(l2)
-            if l1 == TOP or l2 == TOP or BOT in (l1, l2):
-                self.norm_axiom(simplify(And(l1, l2)), rhs)
-                return
             self.emit(ConjSub(l1, l2, rhs))
             return
         if isinstance(lhs, Exists):

@@ -135,7 +135,7 @@ class NestedNfa:
         self.include_weak = family.include_weak
         self.tbox = family.tbox
         levels = family.levels
-        self.level_rules = levels.rules_at(level)
+        self.rules = levels.rules_at(level)
         self.initial = AutState(frozenset({TOP}), concept)
         # alphabet pieces, from the level map's per-height names and con(T|n)
         bot = (BOT,) if levels.con_mask(level) & BOT_BIT else ()
@@ -277,7 +277,7 @@ def _family_members(nfa: NestedNfa):
 
 def _alphabet_lines(nfa: NestedNfa):
     parts = [f"{c}?" for c in sorted(nfa.con_names)]
-    for r in sorted(nfa.level_rules.role_names):
+    for r in nfa.rules.role_names:
         parts.append(r)
         parts.append(f"inv {r}")
     parts += [f"aut[{c}]?" for c in nfa.lower_names]

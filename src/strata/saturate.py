@@ -13,7 +13,7 @@ calls it:
   context's type grows monotonically.  Types are integer bit masks over the
   TBox concept signature.  When Bot enters a type, that type becomes the
   full signature (ex falso); global inconsistency is flagged separately.
-  Every closer, over the whole TBox or over one level's rules
+  Every closer, over the whole TBox's ``Rules`` or over one level's
   (``stratify.LevelMap.closer_at``), closes a new root in one kernel call
   that reads its successors' types as it goes.  Only the contexts that call
   creates start a worklist, which re-evaluates a context whenever one it
@@ -25,7 +25,8 @@ calls it:
   existential bodies across asserted role edges.
 
 The kernel looks a rule up only when a bit its body reads is new, through
-the trigger index every ``TBox`` builds with its rule views (as ELK does):
+the trigger index of its ``Rules``, which ``kb.rule_index`` builds with the
+rule tuples, for the whole TBox and for each level alike (as ELK does):
 per bit, the subs, the conjs and the existential heads ("spawns") whose lhs
 or successor seed reads it.  A call is told which bits of the type are new;
 by default all are.  The callers then re-run semi-naively: a ``TypeCloser``
@@ -60,6 +61,7 @@ from .kb import (
     ExRight,
     KbError,
     NormGci,
+    Rules,
     Sub,
     TBox,
 )
@@ -73,7 +75,7 @@ def _bits(mask: int):
         yield low
 
 
-def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> int:
+def _fire(rules: Rules, cur: int, child_of, flood: int, justs=None, _new=None) -> int:
     """Close one node's type `cur` under the sub, conj and existential rules.
 
     `child_of(seed)` gives the type of the anonymous successor an existential
@@ -84,7 +86,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
     flood adds, get none: no trace reads a type that holds Bot (see
     ``oracle_entails``).
 
-    Rules are found through ``tbox.triggers``: a rule is looked at only when
+    Rules are found through ``rules.triggers``: a rule is looked at only when
     a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
     have not been looked at yet; by default every bit is new.  A spawn is
     queued by its trigger bits and evaluated once after sub and conj
@@ -93,7 +95,7 @@ def _fire(tbox: TBox, cur: int, child_of, flood: int, justs=None, _new=None) -> 
     closed under sub and conj but the successor types `child_of` returns may
     have grown since it was: every spawn whose lhs holds is evaluated again.
     """
-    triggers, body, spawns = tbox.triggers, tbox.body_mask, tbox.spawns
+    triggers, body, spawns = rules.triggers, rules.body_mask, rules.spawns
     pending = queued = 0
     if not cur & BOT_BIT:
         if _new is None:
@@ -159,20 +161,19 @@ def _seed_pairs(back, parent: int) -> tuple:
 class TypeCloser:
     """Entailed concepts of a single node, memoized per premise set.
 
-    `tbox` is a ``TBox`` or a ``stratify.LevelRules`` view of one.  When
-    Bot enters a type, the type becomes `flood_mask` plus Top and Bot; by
-    default that is the TBox signature, and a level closer passes con(T|n)
-    (``stratify.LevelMap.con_mask``), since a level view has no signature
-    of its own.
+    `rules` are a whole TBox's ``Rules`` or one level's
+    (``stratify.LevelMap.rules_at``).  When Bot enters a type, the type
+    becomes `flood_mask` plus Top and Bot: the TBox signature for the whole
+    TBox, con(T|n) (``stratify.LevelMap.con_mask``) for a level.
 
     A new root takes one kernel call, whatever the closer, and reads its
     successors through ``_child_of``.  With a `shared` closer, over a TBox
-    that `tbox` is a level restriction of, a seed whose shared type is
+    that `rules` are a level restriction of, a seed whose shared type is
     Bot-free reads that type: it is final, and agrees with this TBox's type
     on every name a rule here reads (the argument is in
     ``stratify.LevelMap``).  Every other seed reads a context of this
     closer, sub/conj-closed on first read (with `shared`, a rule missing
-    from `tbox` may be what derives the Bot).  A worklist starts only from
+    from `rules` may be what derives the Bot).  A worklist starts only from
     the contexts the call created.
 
     A closer built without `shared` closes the whole TBox, and a trace reads
@@ -183,11 +184,10 @@ class TypeCloser:
     older: following records back always ends.
     """
 
-    def __init__(self, tbox: TBox, flood_mask: int = None, shared: "TypeCloser" = None):
-        self.tbox = tbox
+    def __init__(self, rules: Rules, flood_mask: int, shared: "TypeCloser" = None):
+        self.rules = rules
         self.shared = shared
-        sig = tbox.signature_mask if flood_mask is None else flood_mask
-        self.flood_mask = sig | TOP_BIT | BOT_BIT
+        self.flood_mask = flood_mask | TOP_BIT | BOT_BIT
         self._vals: Dict[int, int] = {}
         self._rdeps: Dict[int, set] = {}
         self._fresh: list = []  # contexts made since the last worklist started
@@ -195,11 +195,6 @@ class TypeCloser:
         self._justs: Optional[Dict[int, dict]] = {} if shared is None else None
 
     # -- public -----------------------------------------------------------
-
-    def closure(self, names) -> frozenset:
-        """All concept names entailed at a node asserted to satisfy `names`."""
-        mask = self.closure_mask(self.tbox.mask_of(names))
-        return self.tbox.names_of(mask)
 
     def closure_mask(self, mask: int) -> int:
         mask |= TOP_BIT
@@ -209,7 +204,7 @@ class TypeCloser:
         # a seed equal to `mask` is a context too, re-run from this value
         self._reading = mask
         self._vals[mask] = _fire(
-            self.tbox, mask, self._child_of, self.flood_mask, self._record(mask)
+            self.rules, mask, self._child_of, self.flood_mask, self._record(mask)
         )
         if self._fresh:
             self._run_worklist()
@@ -244,7 +239,8 @@ class TypeCloser:
                 return v
         v = self._vals.get(seed)
         if v is None:
-            v = self._vals[seed] = _fire(self.tbox, seed, None, self.flood_mask, self._record(seed))
+            v = _fire(self.rules, seed, None, self.flood_mask, self._record(seed))
+            self._vals[seed] = v
             self._fresh.append(seed)
         self._rdeps.setdefault(seed, set()).add(self._reading)
         return v
@@ -262,7 +258,7 @@ class TypeCloser:
             self._reading = m
             before = self._vals[m]
             after = _fire(
-                self.tbox, before, self._child_of, self.flood_mask, self._record(m), _new=0
+                self.rules, before, self._child_of, self.flood_mask, self._record(m), _new=0
             )
             queue.extend(fresh)
             queued.update(fresh)
@@ -300,7 +296,8 @@ class SatResult:
 
 def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> SatResult:
     """Fixpoint labels for every individual, plus the consistency verdict."""
-    closer = closer or TypeCloser(tbox)
+    rules = tbox.rules
+    closer = closer or TypeCloser(rules, tbox.signature_mask)
     child_of, flood = closer.closure_mask, closer.flood_mask
     labels = {
         a: TOP_BIT | tbox.mask_of(abox.asserted[a] & tbox.bit_of.keys()) for a in abox.individuals
@@ -310,7 +307,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     # `exists r . F <= B` holds at every r-neighbour of an F individual,
     # i.e. at its inverse-r neighbours
     pushes, by_filler = [], {}  # by_filler: filler bit -> positions in `pushes`
-    for i, (role, fbit, rbit, exl) in enumerate(tbox.exlefts):
+    for i, (role, fbit, rbit, exl) in enumerate(rules.exlefts):
         pushes.append((role.invert(), rbit, exl))
         by_filler[fbit] = by_filler.get(fbit, 0) | 1 << i
     fillers = sum(by_filler)
@@ -327,7 +324,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     while queue:
         a = queue.popleft()
         queued.discard(a)
-        cur = labels[a] = _fire(tbox, labels[a], child_of, flood, justs[a], new_bits[a])
+        cur = labels[a] = _fire(rules, labels[a], child_of, flood, justs[a], new_bits[a])
         new_bits[a] = 0
         if cur & BOT_BIT and not inconsistent:
             inconsistent = True
@@ -518,7 +515,7 @@ def oracle_entails(
     consistent KBs."""
     abox.require(ind)
     if closer is None:
-        closer = TypeCloser(tbox)
+        closer = TypeCloser(tbox.rules, tbox.signature_mask)
     if sat is None:
         sat = saturate_abox(tbox, abox, closer)
     if sat.inconsistent:

@@ -50,6 +50,7 @@ from .kb import (
     ExRight,
     KbError,
     NormGci,
+    Rules,
     Sub,
     TBox,
     axiom_names,
@@ -192,7 +193,8 @@ def _sccs(vertices, succ):
 
 
 def _cycle_path(lo, hi, succ):
-    """A path hi -> ... -> lo in the edge graph (exists when both share an SCC)."""
+    """A path hi -> ... -> lo in the edge graph.  It is called only for the
+    ends of an ``lt`` clause that share an SCC, so the path exists."""
     frontier = [hi]
     parent = {hi: None}
     while frontier:
@@ -208,7 +210,6 @@ def _cycle_path(lo, hi, succ):
                         return list(reversed(path))
                     nxt.append(w)
         frontier = nxt
-    return [hi, lo]
 
 
 def check_stratification(tbox: TBox, floors: Optional[Dict[str, int]] = None) -> StratResult:
@@ -370,33 +371,6 @@ def axiom_level(ax: NormGci, heights: Dict[str, int]) -> int:
     return level
 
 
-class LevelRules:
-    """T|n's rule views, filtered out of the whole TBox's compiled tuples.
-
-    It offers what the rule kernel, the level's ``TypeCloser`` and the
-    export read off a ``TBox`` (``triggers``, ``body_mask``, ``spawns``,
-    ``role_names``, ``mask_of``, ``names_of``), equal to those of a TBox
-    built from the axioms of T|n alone, in the same order, without building
-    that TBox.
-    A spawn keeps only the existential bodies of T|n in its ``back`` and
-    ``fwd`` lists.  The level's signature is ``LevelMap.con_mask``'s; the
-    goal moves read the axioms of T|n off the whole TBox by level.
-    """
-
-    def __init__(self, tbox: TBox, level_of: Dict[NormGci, int], n: int):
-        def keep(ax):
-            return level_of[ax] <= n
-
-        self.mask_of, self.names_of = tbox.mask_of, tbox.names_of
-        subs = [x for x in tbox.subs if keep(x[2])]
-        conjs = [x for x in tbox.conjs if keep(x[2])]
-        exlefts = [x for x in tbox.exlefts if keep(x[3])]
-        heads = [x[:3] for x in tbox.spawns if keep(x[2])]
-        self.spawns, self.triggers, self.body_mask = rule_index(subs, conjs, exlefts, heads)
-        roles = {x[0].name for x in exlefts} | {x[2].role.name for x in heads}
-        self.role_names = tuple(sorted(roles))
-
-
 class LevelMap:
     """Per-level views of a stratified TBox: concept masks, rule views, type
     closers and the goal moves every engine shares.
@@ -407,8 +381,8 @@ class LevelMap:
     must already be available to the low-level automata.  The mask of every
     height up to the highest a name holds, which may lie above every axiom,
     is built at construction, with the names sorted by height.  Each level
-    has one view, T|n's rules (``LevelRules``) and closer, built on first
-    use; the top level's is ``(tbox, closer)`` from the start.
+    has one view, T|n's ``Rules`` and closer, built on first use; the top
+    level's is the whole TBox's ``(tbox.rules, closer)`` from the start.
 
     Every level's closure shares that whole-TBox ``closer``, which the
     saturation pre-check fills too.  A level-n root fires T|n's rules
@@ -436,8 +410,8 @@ class LevelMap:
         self.heights = heights
         self._level_of = {ax: axiom_level(ax, heights) for ax in tbox.axioms}
         self.max_level = max(self._level_of.values(), default=0)
-        self.closer = TypeCloser(tbox)
-        self._views = {self.max_level: (tbox, self.closer)}
+        self.closer = TypeCloser(tbox.rules, tbox.signature_mask)
+        self._views = {self.max_level: (tbox.rules, self.closer)}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
@@ -478,14 +452,25 @@ class LevelMap:
         n = min(n, self.max_level)
         got = self._views.get(n)
         if got is None:
-            rules = LevelRules(self.tbox, self._level_of, n)
+            whole, level_of = self.tbox.rules, self._level_of
+            rules = rule_index(
+                [x for x in whole.subs if level_of[x[2]] <= n],
+                [x for x in whole.conjs if level_of[x[2]] <= n],
+                [x for x in whole.exlefts if level_of[x[3]] <= n],
+                [x[:3] for x in whole.spawns if level_of[x[2]] <= n],
+            )
             closer = TypeCloser(rules, self.con_mask(n), shared=self.closer)
             got = self._views[n] = (rules, closer)
         return got
 
-    def rules_at(self, n: int):
-        """T|n's rule views (see ``LevelRules``); at the top level, the whole
-        TBox, and at level -1 the empty T|-1."""
+    def rules_at(self, n: int) -> Rules:
+        """T|n's ``Rules``, filtered out of the whole TBox's compiled tuples:
+        equal to those of a TBox built from the axioms of T|n alone, over the
+        whole TBox's bits, without building that TBox.  A spawn keeps only
+        the existential bodies of T|n in its ``back`` and ``fwd`` lists.  At
+        the top level they are the whole TBox's, at level -1 the empty
+        T|-1's.  The level's signature is ``con_mask``'s; the goal moves read
+        the axioms of T|n off the whole TBox by level."""
         return self._view(n)[0]
 
     def con_mask(self, n: int) -> int:
@@ -582,19 +567,19 @@ class LevelMap:
     def _cone_preds(self) -> Dict[int, int]:
         """Per head bit, the mask of names one body->head edge below it."""
         if self._preds is None:
-            t = self.tbox
+            rules = self.tbox.rules
             preds: Dict[int, int] = {}
 
             def edge(body, head):
                 preds[head] = preds.get(head, 0) | body
 
-            for lbit, rbit, _ in t.subs:
+            for lbit, rbit, _ in rules.subs:
                 edge(lbit, rbit)
-            for lmask, rbit, _ in t.conjs:
+            for lmask, rbit, _ in rules.conjs:
                 edge(lmask, rbit)
-            for _, fbit, rbit, _ in t.exlefts:
+            for _, fbit, rbit, _ in rules.exlefts:
                 edge(fbit, rbit)
-            for lbit, fbit, _, back, fwd, _ in t.spawns:
+            for lbit, fbit, _, back, fwd, _ in rules.spawns:
                 edge(lbit, fbit)
                 # the new successor is a role-neighbour of its parent, and
                 # the parent an inverse-role neighbour of the successor

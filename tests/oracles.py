@@ -26,7 +26,7 @@ from strata import (
     TBox,
     TypeCloser,
 )
-from strata.kb import TOP_BIT
+from strata.kb import TOP_BIT, axiom_names
 from strata.stratify import axiom_level
 
 
@@ -230,20 +230,35 @@ def random_dllite_tbox(rng: Random, max_names: int = 10):
 def restrict(tbox: TBox, heights, n: int) -> TBox:
     """The sub-TBox of axioms whose every name has height at most n.
 
-    ``restrict(T, h, -1)`` is the empty TBox.  The result shares the parent's
-    concept-bit indexing so masks stay comparable across levels.  This is the
-    paper's T|n as a TBox of its own; the library reads the same axioms
-    through ``LevelMap.rules_at`` instead.
+    ``restrict(T, h, -1)`` is the empty TBox.  The result takes every concept
+    name of the parent as an extra concept, so it has the parent's bit index
+    and masks stay comparable across levels; its ``signature_mask`` is thus
+    the parent's, and ``signature`` gives its own.  This is the paper's T|n
+    as a TBox of its own; the library reads the same axioms through
+    ``LevelMap.rules_at`` instead.
     """
     axioms = [ax for ax in tbox.axioms if axiom_level(ax, heights) <= n]
-    return TBox(axioms, share_index_with=tbox)
+    return TBox(axioms, extra_concepts=tbox.concept_names)
+
+
+def signature(tbox: TBox) -> int:
+    """The mask of Top and of every name the axioms of `tbox` mention, Bot
+    among them: the signature of the axioms alone."""
+    return TOP_BIT | tbox.mask_of(c for ax in tbox.axioms for c in axiom_names(ax)[0])
+
+
+def closure_names(tbox: TBox, closer: TypeCloser, names) -> frozenset:
+    """The names `closer` entails at a node asserted to satisfy `names`,
+    read through the bit index of `tbox`."""
+    return tbox.names_of(closer.closure_mask(tbox.mask_of(names)))
 
 
 def level_closer(levels, n: int) -> TypeCloser:
     """The closer of T|n built the direct way: a ``TypeCloser`` of its own
-    over ``restrict(T, h, n)``, in which Bot floods a type to con(T|n)."""
+    over the rules of ``restrict(T, h, n)``, in which Bot floods a type to
+    con(T|n)."""
     n = min(n, levels.max_level)
-    return TypeCloser(restrict(levels.tbox, levels.heights, n), levels.con_mask(n))
+    return TypeCloser(restrict(levels.tbox, levels.heights, n).rules, levels.con_mask(n))
 
 
 def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int) -> int:
@@ -261,12 +276,13 @@ def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bi
     return out
 
 
-def goal_moves_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int):
+def goal_moves_scan(
+    tbox: TBox, closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int
+):
     """The goal moves by per-axiom dispatch: the sbus, succ and noc steps of
-    every axiom of T|n with the goal on its right, where `closer` is the
-    closer of T|n that ``level_closer`` builds (its TBox is
-    ``restrict(T, h, n)``), plus the swaps ``swap_mask_scan`` finds."""
-    tbox = closer.tbox
+    every axiom of T|n with the goal on its right, where `tbox` is
+    ``restrict(T, h, n)`` and `closer` the closer of T|n that
+    ``level_closer`` builds, plus the swaps ``swap_mask_scan`` finds."""
     goal = next(name for name, pos in tbox.bit_of.items() if 1 << pos == goal_bit)
     steps = []
     for ax in tbox.by_rhs(goal):
@@ -286,7 +302,7 @@ def saturate_per_node(tbox: TBox, abox: AboxGraph):
     """ABox labels by the per-node path: close each individual's label as a
     ``TypeCloser`` context and push existential bodies across asserted edges,
     until nothing changes.  Returns {individual: label mask}."""
-    closer = TypeCloser(tbox)
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
     labels = {
         a: TOP_BIT | tbox.mask_of(c for c in abox.asserted[a] if c in tbox.bit_of)
         for a in abox.individuals
@@ -299,7 +315,7 @@ def saturate_per_node(tbox: TBox, abox: AboxGraph):
             if new != labels[a]:
                 labels[a] = new
                 changed = True
-            for role, fbit, rbit, _ in tbox.exlefts:
+            for role, fbit, rbit, _ in tbox.rules.exlefts:
                 if new & fbit:
                     for nb in abox.neighbors(a, role.invert()):
                         if not labels[nb] & rbit:
@@ -308,24 +324,24 @@ def saturate_per_node(tbox: TBox, abox: AboxGraph):
     return labels
 
 
-def fire_scan(tbox: TBox, cur: int, child_of, flood: int) -> int:
-    """The rule kernel by rescanning: every sub, conj and spawn of the TBox
+def fire_scan(rules, cur: int, child_of, flood: int) -> int:
+    """The rule kernel by rescanning: every sub, conj and spawn of `rules`
     on each pass until a pass adds nothing.  `saturate._fire` must return
     the same mask when `child_of` is monotone in the seed."""
     changed = True
     while changed:
         changed = False
-        for lbit, rbit, _ in tbox.subs:
+        for lbit, rbit, _ in rules.subs:
             if cur & lbit and not cur & rbit:
                 cur |= rbit
                 changed = True
-        for lmask, rbit, _ in tbox.conjs:
+        for lmask, rbit, _ in rules.conjs:
             if cur & lmask == lmask and not cur & rbit:
                 cur |= rbit
                 changed = True
         if child_of is None:
             continue
-        for lbit, fbit, _, back, fwd, _ in tbox.spawns:
+        for lbit, fbit, _, back, fwd, _ in rules.spawns:
             if not cur & lbit:
                 continue
             seed = 1 | fbit

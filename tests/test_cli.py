@@ -483,6 +483,28 @@ def test_rewrite_below_the_state_budget_is_unchanged(tmp_path, capsys):
     assert digest == "40546560292b9a12176d9d12c864c8804ce7567546ccb833ad70f1b6412ad1c1"
 
 
+ROLES_REWRITE_TEXT = (
+    "tbox:\nA <= B\nA & B <= C\nC <= exists r . Top\nexists r . Top <= D\n"
+    "exists inv s . C <= E\nabox:\nA(a)\nr(a, b)\n"
+)
+
+
+def test_rewrite_with_roles_in_its_alphabet_is_unchanged(tmp_path, capsys):
+    # each level's alphabet lists the role names of that level's rules
+    p = tmp_path / "roles.kb"
+    p.write_text(ROLES_REWRITE_TEXT, encoding="utf-8")
+    assert main(["rewrite", str(p), "--for", "E"]) == 0
+    out = capsys.readouterr().out
+    assert "alphabet: A? B? C? D? E? Top? r inv r s inv s aut[A]? aut[B]? aut[C]? aut[D]?" in out
+    assert "alphabet: A? B? C? D? Top? r inv r aut[A]? aut[B]?" in out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b07b45b36a79a51e1b2c7a51c99da09d340545ea3f2e9cfb289b5093e4f7077d"
+    dot = tmp_path / "roles.dot"
+    assert main(["rewrite", str(p), "--for", "E", "--dot", str(dot)]) == 0
+    digest = hashlib.sha256(dot.read_bytes()).hexdigest()
+    assert digest == "066a3038429e0055740750de032cddec03031ff0d9a70ac12e0b0ccb3744cf9b"
+
+
 def test_bench_qbf_small(capsys, tmp_path):
     emit = tmp_path / "cases"
     assert main(

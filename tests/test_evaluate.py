@@ -39,7 +39,7 @@ from strata import (
 from strata.fuzz import SIZE_CLASSES, _case_seed
 
 from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
-from oracles import goal_moves_scan, level_closer
+from oracles import goal_moves_scan, level_closer, restrict
 
 
 def _reach():
@@ -136,6 +136,14 @@ def test_pipeline_counts_closure_contexts():
     # shared: {B} and {F}; level 0: the roots {A}, {A, B}, {A, F}, {A, Bot}
     # and the seed {B}, whose shared type holds Bot
     assert res.diagnostics["closure_contexts"] == 7
+
+
+def test_pipeline_rejects_an_unknown_engine_or_consistency_check():
+    kb = parse_kb(TEX_TEXT)
+    with pytest.raises(KbError, match="^unknown engine 'fast'$"):
+        entails_iq(kb.gcis, kb.abox, "D", "a", engine="fast")
+    with pytest.raises(KbError, match="^unknown consistency check 'bogus'$"):
+        entails_iq(kb.gcis, kb.abox, "D", "a", consistency="bogus")
 
 
 def test_pipeline_rejects_unstratifiable_tbox():
@@ -291,8 +299,8 @@ def _assert_moves_match_scan(levels, triples):
     for level, premise_mask, goal_bit in sorted(triples):
         n = min(level, levels.max_level)
         if n not in closers:
-            closers[n] = level_closer(levels, n)
-        want = goal_moves_scan(closers[n], levels.con_mask(n), premise_mask, goal_bit)
+            closers[n] = restrict(levels.tbox, levels.heights, n), level_closer(levels, n)
+        want = goal_moves_scan(*closers[n], levels.con_mask(n), premise_mask, goal_bit)
         assert levels.goal_moves(level, premise_mask, goal_bit) == want, (
             level,
             premise_mask,

@@ -76,10 +76,23 @@ def test_parse_order_section():
     assert kb.order_levels == (("A",), ("B",), ("C", "r"), ("D",))
 
 
+# malformed lines and their exact errors, line and column included
+PARSE_ERRORS = {
+    "tbox:\nA <= B\nabox:\nA\n": "line 4, col 2: unexpected end of line",
+    "tbox:\nA <= B C\n": "line 2, col 8: trailing input: 'C'",
+    "abox:\ninv A(a)\n": "line 2, col 9: 'inv' only applies to role assertions",
+    "abox:\nr(a b)\n": "line 2, col 6: expected ',' or ')', found 'b'",
+}
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_kb("tbox:\nA <= <= B\n")
     assert err.value.line == 2
+    for text, message in PARSE_ERRORS.items():
+        with pytest.raises(ParseError) as err:
+            parse_kb(text)
+        assert str(err.value) == message
     with pytest.raises(ParseError, match="duplicate order"):
         parse_kb("tbox:\nA <= B\norder:\nA\norder:\nB\nabox:\nA(a)\n")
     with pytest.raises(ParseError, match="before the first section"):
@@ -217,6 +230,13 @@ def test_roundtrip_preserves_order_section():
     assert parse_kb(format_kb(kb)).order_levels == levels
 
 
+def test_roundtrip_of_conjunction_fillers():
+    text = "tbox:\nA <= exists r . (B & C)\nexists r . (B & (C & D)) <= E\nabox:\n"
+    kb = parse_kb(text)
+    assert format_kb(kb) == text
+    assert parse_kb(format_kb(kb)) == kb
+
+
 def test_roundtrip_keeps_an_empty_order_section():
     kb = kb_from_normal(TBox([Sub("A", "B")]), AboxGraph(concept_asserts=[("A", "a")]), [])
     assert kb.order_levels == () and kb.order == {}
@@ -264,6 +284,14 @@ def test_normalize_drops_tautologies_and_collapses_bot():
         Gci("A", TOP),
         Gci(Exists(Role("r"), BOT), "B"),
         Gci("A", Exists(Role("r"), BOT)),
+    )
+    tbox, _ = normalize(surface)
+    assert tbox.axioms == (Sub("A", BOT),)
+    # a Bot conjunct empties a premise, and a head's filler
+    surface = (
+        Gci(And("A", BOT), "B"),
+        Gci(Exists(Role("r"), And("A", BOT)), "B"),
+        Gci("A", Exists(Role("r"), And("B", BOT))),
     )
     tbox, _ = normalize(surface)
     assert tbox.axioms == (Sub("A", BOT),)

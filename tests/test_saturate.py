@@ -34,11 +34,13 @@ from strata.saturate import _fire
 from conftest import diamond_kb_text
 from oracles import (
     chase,
+    closure_names,
     fire_scan,
     random_abox,
     random_normal_tbox,
     restrict,
     saturate_per_node,
+    signature,
 )
 
 # every fuzz size class but the tall one, which would multiply the test time
@@ -51,7 +53,7 @@ FUZZ_CLASSES = pytest.mark.parametrize(
 
 def test_type_closure_worked_example(tex):
     tbox, _, _ = tex
-    got = TypeCloser(tbox).closure({"A"})
+    got = closure_names(tbox, TypeCloser(tbox.rules, tbox.signature_mask), {"A"})
     # cross-check by a small chase on the singleton ABox
     labels, incon, capped = chase(tbox, AboxGraph(concept_asserts=[("A", "x")]), 3)
     assert not incon and not capped
@@ -59,12 +61,14 @@ def test_type_closure_worked_example(tex):
 
 
 def test_type_closure_top_alone_stays_top(tex):
-    assert TypeCloser(tex[0]).closure({TOP}) == frozenset({TOP})
+    tbox = tex[0]
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
+    assert closure_names(tbox, closer, {TOP}) == frozenset({TOP})
 
 
 def test_type_closure_bot_floods_signature():
     tbox = TBox([Sub("A", BOT), Sub("B", "B")])
-    got = TypeCloser(tbox).closure({"A"})
+    got = closure_names(tbox, TypeCloser(tbox.rules, tbox.signature_mask), {"A"})
     assert got == frozenset({TOP, BOT, "A", "B"})
 
 
@@ -72,7 +76,7 @@ def test_a_root_reading_only_closed_successors_takes_one_kernel_call(monkeypatch
     # B's context is closed before A's root reads it, so the root fires once,
     # with its successor types, and runs no worklist
     tbox = TBox([ExRight("A", Role("r"), "B"), ExLeft(Role("r"), "B", "C")])
-    closer = TypeCloser(tbox)
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
     closer.closure_mask(tbox.mask_of({"B"}))
     calls = []
 
@@ -94,10 +98,10 @@ def test_type_closure_monotone_extensive_idempotent(seed):
     names = list(tbox.concept_names)
     s = frozenset(rng.sample(names, rng.randint(0, len(names))))
     s2 = s | frozenset(rng.sample(names, rng.randint(0, len(names))))
-    closer = TypeCloser(tbox)
-    c1, c2 = closer.closure(s), closer.closure(s2)
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
+    c1, c2 = closure_names(tbox, closer, s), closure_names(tbox, closer, s2)
     assert s <= c1 and c1 <= c2
-    assert closer.closure(c1) == c1
+    assert closure_names(tbox, closer, c1) == c1
 
 
 @settings(max_examples=30)
@@ -111,8 +115,10 @@ def test_type_closure_grows_with_the_level(seed):
     names = list(tbox.concept_names)
     s = frozenset(rng.sample(names, rng.randint(0, len(names))))
     n = rng.randint(0, 2)
-    low = TypeCloser(restrict(tbox, res.height, n)).closure(s)
-    high = TypeCloser(restrict(tbox, res.height, n + 1)).closure(s)
+    low, high = (
+        closure_names(tbox, TypeCloser(t.rules, signature(t)), s)
+        for t in (restrict(tbox, res.height, n), restrict(tbox, res.height, n + 1))
+    )
     assert low <= high
 
 
@@ -122,7 +128,7 @@ def test_fire_matches_the_scanning_kernel(seed):
     rng = Random(seed)
     tbox = random_normal_tbox(rng, max_concepts=5, max_roles=2, max_gcis=10)
     bits = [1 << b for b in sorted(tbox.bit_of.values())]  # Top and Bot included
-    flood = tbox.signature_mask | 3
+    rules, flood = tbox.rules, tbox.signature_mask | 3
 
     def some(p):
         return sum(b for b in bits if b != 2 and rng.random() < p) | (
@@ -142,14 +148,14 @@ def test_fire_matches_the_scanning_kernel(seed):
 
     start = 1 | some(0.3)
     for table in (None, child_of):
-        assert _fire(tbox, start, table, flood) == fire_scan(tbox, start, table, flood)
+        assert _fire(rules, start, table, flood) == fire_scan(rules, start, table, flood)
         # a type closed except for the new bits
         new = some(0.3)
-        cur = fire_scan(tbox, start, table, flood) | new
-        assert _fire(tbox, cur, table, flood, _new=new) == fire_scan(tbox, cur, table, flood)
+        cur = fire_scan(rules, start, table, flood) | new
+        assert _fire(rules, cur, table, flood, _new=new) == fire_scan(rules, cur, table, flood)
     # closed under sub and conj, with successor types not yet read
-    cur = fire_scan(tbox, start, None, flood)
-    assert _fire(tbox, cur, child_of, flood, _new=0) == fire_scan(tbox, cur, child_of, flood)
+    cur = fire_scan(rules, start, None, flood)
+    assert _fire(rules, cur, child_of, flood, _new=0) == fire_scan(rules, cur, child_of, flood)
 
 
 @FUZZ_CLASSES
@@ -157,7 +163,7 @@ def test_fire_matches_the_scanning_kernel(seed):
 @given(st.integers(0, 1_000_000))
 def test_saturation_matches_the_per_node_path_and_its_traces_replay(limits, seed):
     tbox, abox, _ = random_stratified_kb(Random(seed), *limits)
-    closer = TypeCloser(tbox)
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
     sat = saturate_abox(tbox, abox, closer)
     assert sat.labels == saturate_per_node(tbox, abox)
     if sat.inconsistent:
@@ -347,7 +353,7 @@ def test_oracle_traces_replay(seed):
     rng = Random(seed)
     tbox = random_normal_tbox(rng, max_concepts=3, max_roles=2, max_gcis=7)
     abox = random_abox(rng, list(tbox.concept_names) or ["A"], list(tbox.role_names) or ["r"], 4)
-    closer = TypeCloser(tbox)
+    closer = TypeCloser(tbox.rules, tbox.signature_mask)
     sat = saturate_abox(tbox, abox, closer)
     # the ABox pass and the per-node TypeCloser path reach the same labels
     assert sat.labels == saturate_per_node(tbox, abox)

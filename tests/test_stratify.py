@@ -40,10 +40,12 @@ from oracles import (
     level_closer,
     bruteforce_min_heights,
     bruteforce_stratified,
+    closure_names,
     order_admits,
     random_dllite_tbox,
     random_normal_tbox,
     restrict,
+    signature,
 )
 
 EX3_HEIGHTS = {"A": 0, "B": 1, "C": 2, "r": 2, "D": 3}
@@ -325,13 +327,11 @@ def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed, drawn):
     tbox, _, levels = _fuzz_level_map(Random(seed), limits, drawn)
     for n in range(-1, levels.max_level + 1):
         got, want = levels.rules_at(n), restrict(tbox, levels.heights, n)
-        assert got.triggers == want.triggers
-        assert got.body_mask == want.body_mask
-        assert got.spawns == want.spawns
+        assert got == want.rules
         assert got.role_names == want.role_names
         con = levels.con_mask(n)  # just Top at level -1
         assert bool(con & BOT_BIT) == want.bot_occurs, n
-        assert not want.signature_mask & ~con, n
+        assert not signature(want) & ~con, n
 
 
 @FUZZ_CLASSES
@@ -372,7 +372,8 @@ def test_level_closure_stays_free_of_a_bot_only_a_higher_level_reaches():
     kb = parse_kb(LOW_BOT_TEXT)
     tbox, _ = normalize(kb.gcis)
     levels = LevelMap(tbox, heights_for(tbox, kb.order)[0])
-    assert levels.closer_at(0).closure({"A"}) == {"A", TOP}
+    assert closure_names(tbox, levels.closer_at(0), {"A"}) == {"A", TOP}
     # over the whole TBox, A's r-successor B spawns F, and Bot floods
     assert tbox.bot_occurs
-    assert TypeCloser(tbox).closure({"A"}) == {TOP, BOT, *tbox.concept_names}
+    whole = TypeCloser(tbox.rules, tbox.signature_mask)
+    assert closure_names(tbox, whole, {"A"}) == {TOP, BOT, *tbox.concept_names}
