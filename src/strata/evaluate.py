@@ -71,7 +71,7 @@ from .kb import (
     normalize_kb,
 )
 from .rewrite import AutState, AutoTest, ConceptTest, RoleStep, TOP_TEST, _Family
-from .saturate import SatResult, oracle_entails, saturate_abox
+from .saturate import SatResult, saturate_abox
 from .stratify import LevelMap, heights_for
 
 
@@ -354,16 +354,7 @@ class Evaluator:
     # -- oracle + consistency --------------------------------------------------
 
     def oracle(self, concept: str, ind: str, want_trace: bool = False):
-        sat = self.saturation()
-        return oracle_entails(
-            self.tbox,
-            self.abox,
-            concept,
-            ind,
-            want_trace=want_trace,
-            sat=sat,
-            closer=self.levels.closer,
-        )
+        return self.saturation().entails(concept, ind, want_trace)
 
     def oracle_inconsistent(self) -> bool:
         return self.saturation().inconsistent

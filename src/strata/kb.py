@@ -348,12 +348,6 @@ class TBox:
             b += 1
         return frozenset(out)
 
-    def __eq__(self, other):
-        return isinstance(other, TBox) and set(self.axioms) == set(other.axioms)
-
-    def __hash__(self):
-        return hash(frozenset(self.axioms))
-
     def __repr__(self):
         return f"TBox({len(self.axioms)} axioms)"
 

@@ -22,7 +22,9 @@ calls it:
 * ``saturate_abox`` runs the kernel over a whole ABox, treating each
   individual's current label as the parent premise of its anonymous
   successors (whose final types come from a ``TypeCloser``), and pushes
-  existential bodies across asserted role edges.
+  existential bodies across asserted role edges.  Its ``SatResult`` keeps
+  that closer beside the labels and answers queries, with traces, itself
+  (``SatResult.entails``).
 
 The kernel looks a rule up only when a bit its body reads is new, through
 the trigger index of its ``Rules``, which ``kb.rule_index`` builds with the
@@ -84,7 +86,7 @@ def _fire(rules: Rules, cur: int, child_of, flood: int, justs=None, _new=None) -
     application adding each bit is recorded there, keyed by the bit; bits
     already in `cur` keep the records they have.  Bot, and the bits its
     flood adds, get none: no trace reads a type that holds Bot (see
-    ``oracle_entails``).
+    ``SatResult.entails``).
 
     Rules are found through ``rules.triggers``: a rule is looked at only when
     a bit its body reads is new.  `_new` holds the bits of `cur` whose rules
@@ -285,6 +287,7 @@ class SatResult:
     inconsistent: bool
     bot_at: Optional[str]
     justs: dict  # ind -> {concept bit: rule application}
+    closer: TypeCloser  # the whole-TBox closer whose contexts the "anon" records cite
 
     def entailed(self, ind: str) -> frozenset:
         names = set(self.tbox.names_of(self.labels[ind]))
@@ -293,9 +296,32 @@ class SatResult:
         names.update(self.abox.asserted[ind])
         return frozenset(names)
 
+    def entails(self, concept: str, ind: str, want_trace: bool = False):
+        """True iff the query is derivable, or the KB is inconsistent
+        (everything follows then).  Returns (answer, trace); the trace
+        replays per ``replay_derivation`` and is produced only for consistent
+        KBs."""
+        self.abox.require(ind)
+        if self.inconsistent:
+            return True, None
+        bit = self.tbox.bit_of.get(concept)
+        if bit is None:
+            answer = concept in self.abox.asserted[ind]
+        else:
+            answer = bool(self.labels[ind] & (1 << bit))
+        if not answer or not want_trace:
+            return answer, None
+        if concept in self.abox.asserted[ind]:
+            return True, []
+        builder = _TraceBuilder(self)
+        builder.ensure(concept, ind, self.justs[ind])
+        return True, builder.steps
+
 
 def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> SatResult:
-    """Fixpoint labels for every individual, plus the consistency verdict."""
+    """Fixpoint labels for every individual, plus the consistency verdict;
+    the result keeps `closer` (by default a new whole-TBox one), whose
+    contexts its traces read."""
     rules = tbox.rules
     closer = closer or TypeCloser(rules, tbox.signature_mask)
     child_of, flood = closer.closure_mask, closer.flood_mask
@@ -348,7 +374,7 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
                     if nb not in queued:
                         queue.append(nb)
                         queued.add(nb)
-    return SatResult(tbox, abox, labels, inconsistent, bot_at, justs)
+    return SatResult(tbox, abox, labels, inconsistent, bot_at, justs, closer)
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +410,24 @@ class DerivationStep:
 
 
 class _TraceBuilder:
-    """Turns the rule applications the saturation recorded into steps.
+    """Turns the rule applications a ``SatResult`` recorded into steps: its
+    per-individual records, and its closer's for the anonymous successors.
 
     An anonymous successor is materialized once per (node, spawning axiom,
     seed) and reused by every existential record that names the same
     triple: its seed, hence its context and type, is the same each time.
     """
 
-    def __init__(self, tbox, abox, sat, closer):
-        self.tbox = tbox
-        self.abox = abox
+    def __init__(self, sat: SatResult):
+        self.tbox = sat.tbox
         self.sat = sat
-        self.closer = closer
         self.steps = []
         self.successors = {}  # (node, spawning axiom, seed) -> successor
         self.have_c = set()
-        self.have_ind = set(abox.individuals)
+        self.have_ind = set(sat.abox.individuals)
         self.counter = 0
-        for a in abox.individuals:
-            for c in abox.asserted[a]:
+        for a in sat.abox.individuals:
+            for c in sat.abox.asserted[a]:
                 self.have_c.add((c, a))
 
     def fresh_ind(self):
@@ -468,7 +493,7 @@ class _TraceBuilder:
             if child is None:
                 child = yield from self._spawn(exr, seed_pairs, node, justs)
                 self.successors[node, exr, seed] = child
-            yield exl.filler, child, self.closer.justs(seed)
+            yield exl.filler, child, self.sat.closer.justs(seed)
             self.step(
                 exl,
                 node,
@@ -500,38 +525,10 @@ class _TraceBuilder:
         return child
 
 
-def oracle_entails(
-    tbox: TBox,
-    abox: AboxGraph,
-    concept: str,
-    ind: str,
-    want_trace: bool = False,
-    sat: SatResult = None,
-    closer: TypeCloser = None,
-):
-    """Entailment by saturation: true iff the query is derivable, or the KB
-    is inconsistent (everything follows then).  Returns (answer, trace); the
-    trace replays per ``replay_derivation`` and is produced only for
-    consistent KBs."""
+def oracle_entails(tbox: TBox, abox: AboxGraph, concept: str, ind: str, want_trace: bool = False):
+    """One-shot ``SatResult.entails``: saturate the KB, then answer."""
     abox.require(ind)
-    if closer is None:
-        closer = TypeCloser(tbox.rules, tbox.signature_mask)
-    if sat is None:
-        sat = saturate_abox(tbox, abox, closer)
-    if sat.inconsistent:
-        return True, None
-    bit = tbox.bit_of.get(concept)
-    if bit is None:
-        answer = concept in abox.asserted[ind]
-    else:
-        answer = bool(sat.labels[ind] & (1 << bit))
-    if not answer or not want_trace:
-        return answer, None
-    if concept in abox.asserted[ind]:
-        return True, []
-    builder = _TraceBuilder(tbox, abox, sat, closer)
-    builder.ensure(concept, ind, sat.justs[ind])
-    return True, builder.steps
+    return saturate_abox(tbox, abox).entails(concept, ind, want_trace)
 
 
 def replay_derivation(tbox: TBox, abox: AboxGraph, steps, concept: str, ind: str) -> bool:

@@ -514,6 +514,23 @@ def test_bench_qbf_small(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "failures: 0" in out
     assert len(list(emit.glob("*.kb"))) == 5
+    # each emitted KB reads back, and answers as its case line says
+    valid = [" valid=true " in line for line in out.splitlines()[:5]]
+    assert valid == [True, False, False, False, False]
+    for i, want in enumerate(valid):
+        f = str(emit / f"case{i:03d}.kb")
+        assert main(["check", f]) == 0
+        assert "order: order-section" in capsys.readouterr().out.splitlines()
+        assert main(["ask", f, "--query", "C0_T(a)"]) == (0 if want else 1)
+        assert f"answer: {str(want).lower()}" in capsys.readouterr().out.splitlines()
+
+
+def test_bench_qbf_counts_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(strata.cli, "qbf_valid_bruteforce", lambda formula: False)
+    assert main(["bench", "qbf", "--n", "2", "--m", "2", "--count", "3", "--seed", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("case 000: ") and out[0].endswith(" status=FAIL")
+    assert out[-1] == "failures: 1"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

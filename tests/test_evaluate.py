@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +33,14 @@ from strata import (
     qbf_to_kb,
     random_qbf,
     random_stratified_kb,
+    replay_derivation,
     run_case,
     run_fuzz,
     validate_witness,
 )
+from strata import fuzz
 from strata.fuzz import SIZE_CLASSES, _case_seed
+from strata.stratify import Violation
 
 from conftest import BOT_ABOVE_TEXT, FRESH_QUERY_TEXT, LOW_BOT_TEXT, TEX_TEXT
 from oracles import goal_moves_scan, level_closer, restrict
@@ -122,6 +126,7 @@ def test_readme_library_snippet_runs_on_the_worked_example():
     assert ev.fresh == {} and len(ev.notes) == 1 and ev.heights["D"] == 1
     assert scope["res"].accepted
     assert ev.collapsed("D", "a") and ev.oracle("D", "a")[0]
+    assert scope["answer"] and replay_derivation(ev.tbox, ev.abox, scope["steps"], "D", "a")
     assert out.answer and out.diagnostics["engine"] == "collapsed"
 
 
@@ -407,6 +412,29 @@ def test_run_case_reports_a_broken_trace(monkeypatch):
     assert failures
     for f in failures:
         assert f.answers == {"trace": f"the trace does not derive {f.concept}({f.ind})"}
+
+
+@pytest.mark.parametrize(
+    "target, stub, answers",
+    [
+        (
+            "check_stratification",
+            lambda tbox: SimpleNamespace(accepted=False),
+            {"checker": "rejected"},
+        ),
+        (
+            "verify_preorder",
+            lambda tbox, heights: [Violation("order", None, "a broken drawn map")],
+            {"order": "a broken drawn map"},
+        ),
+    ],
+)
+def test_run_case_reports_a_rejected_kb(monkeypatch, target, stub, answers):
+    monkeypatch.setattr(fuzz, target, stub)
+    queries, failures, witnesses, _ = run_case(1, _case_seed(42, 1))
+    assert (queries, witnesses) == (0, 0)
+    [f] = failures
+    assert (f.concept, f.ind, f.answers) == ("-", "-", answers)
 
 
 @settings(max_examples=50)

@@ -395,6 +395,30 @@ def test_validate_flags_non_normal_surface_shapes():
     assert "normal-form" in reason
 
 
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (Sub(BOT, "A"), "Bot on the left-hand side is vacuous"),
+        (ExRight(BOT, Role("r"), "A"), "Bot on the left-hand side is vacuous"),
+        (ExLeft(Role("r"), BOT, "A"), "unsatisfiable filler; normalize first"),
+        (ExLeft(Role("r"), "A", TOP), "Top on the right-hand side is vacuous"),
+        ("junk", "not a normal-form axiom"),
+    ],
+)
+def test_validate_flags_vacuous_and_foreign_axioms(bad, reason):
+    assert validate_normal_form([bad]) == [(bad, reason)]
+
+
+def test_validate_accepts_normal_shaped_surface_gcis():
+    kb = parse_kb(
+        "tbox:\nA <= exists r . (B & C)\nexists inv r . B <= D\nD & A <= E\nE <= F\n"
+        "abox:\nA(a)\n"
+    )
+    tbox, _ = normalize(kb.gcis)
+    assert {type(ax) for ax in tbox.axioms} == {Sub, ConjSub, ExRight, ExLeft}
+    assert validate_normal_form(kb_from_normal(tbox, kb.abox).gcis) == []
+
+
 def test_tbox_rhs_index_is_consistent(tex):
     tbox, _, _ = tex
     for ax in tbox.axioms:

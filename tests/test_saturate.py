@@ -163,14 +163,13 @@ def test_fire_matches_the_scanning_kernel(seed):
 @given(st.integers(0, 1_000_000))
 def test_saturation_matches_the_per_node_path_and_its_traces_replay(limits, seed):
     tbox, abox, _ = random_stratified_kb(Random(seed), *limits)
-    closer = TypeCloser(tbox.rules, tbox.signature_mask)
-    sat = saturate_abox(tbox, abox, closer)
+    sat = saturate_abox(tbox, abox)
     assert sat.labels == saturate_per_node(tbox, abox)
     if sat.inconsistent:
         return
     for a in abox.individuals:
         for c in tbox.concept_names:
-            ans, trace = oracle_entails(tbox, abox, c, a, want_trace=True, sat=sat, closer=closer)
+            ans, trace = sat.entails(c, a, want_trace=True)
             if ans:
                 assert replay_derivation(tbox, abox, trace, c, a)
 
@@ -344,7 +343,7 @@ def test_oracle_inconsistency_dominance(seed):
     if sat.inconsistent:
         for a in abox.individuals:
             for c in tbox.concept_names:
-                assert oracle_entails(tbox, abox, c, a, sat=sat)[0]
+                assert sat.entails(c, a)[0]
 
 
 @settings(max_examples=40)
@@ -353,8 +352,7 @@ def test_oracle_traces_replay(seed):
     rng = Random(seed)
     tbox = random_normal_tbox(rng, max_concepts=3, max_roles=2, max_gcis=7)
     abox = random_abox(rng, list(tbox.concept_names) or ["A"], list(tbox.role_names) or ["r"], 4)
-    closer = TypeCloser(tbox.rules, tbox.signature_mask)
-    sat = saturate_abox(tbox, abox, closer)
+    sat = saturate_abox(tbox, abox)
     # the ABox pass and the per-node TypeCloser path reach the same labels
     assert sat.labels == saturate_per_node(tbox, abox)
     assert sat.inconsistent == any(m & 2 for m in sat.labels.values())
@@ -363,13 +361,24 @@ def test_oracle_traces_replay(seed):
         return
     for a in abox.individuals:
         for c in tbox.concept_names:
-            ans, trace = oracle_entails(tbox, abox, c, a, want_trace=True, sat=sat, closer=closer)
+            ans, trace = sat.entails(c, a, want_trace=True)
             if ans:
                 assert trace is not None
                 assert replay_derivation(tbox, abox, trace, c, a)
                 if trace:
                     adds = trace[-1].adds
                     assert ("concept", c, a) in adds
+
+
+def test_saturation_result_traces_through_its_own_closer():
+    # the trace reads the anonymous successor's context from the closer the
+    # saturation filled, not from one built afresh
+    tbox = TBox([ExRight("A", Role("r"), "B"), ExLeft(Role("r"), "B", "C")])
+    abox = AboxGraph(concept_asserts=[("A", "a")])
+    sat = saturate_abox(tbox, abox)
+    ans, trace = sat.entails("C", "a", want_trace=True)
+    assert ans and len(trace) == 2
+    assert replay_derivation(tbox, abox, trace, "C", "a")
 
 
 def test_trace_materializes_anonymous_successors(tex):
