@@ -10,13 +10,14 @@ the reader closes stdout early.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 import time
 from pathlib import Path
 
-from .evaluate import compile_kb, entails_iq
+from .evaluate import CONSISTENCY_CHECKS, ENGINES, compile_kb, entails_iq
 from .kb import (
     NAME_PATTERN, RESERVED, KbError, ParseError, _is_name, kb_from_normal, normalize_kb, parse_kb,
 )
@@ -207,6 +208,7 @@ def _cmd_fuzz(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="strata",
@@ -229,8 +231,10 @@ def _build_parser():
     a = sub.add_parser("ask", help="answer an instance query")
     a.add_argument("kb")
     a.add_argument("--query", required=True, metavar="C(a)")
-    a.add_argument("--engine", choices=("collapsed", "naive", "oracle"), default="collapsed")
-    a.add_argument("--consistency", choices=("oracle", "automaton", "none"), default="oracle")
+    a.add_argument("--engine", choices=tuple(ENGINES), default=next(iter(ENGINES)))
+    a.add_argument(
+        "--consistency", choices=tuple(CONSISTENCY_CHECKS), default=next(iter(CONSISTENCY_CHECKS))
+    )
     a.add_argument("--witness", action="store_true")
     a.set_defaults(fn=_cmd_ask)
 
@@ -258,8 +262,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -414,6 +414,23 @@ def compile_kb(gcis, abox: AboxGraph, order: dict = None, query: str = None) -> 
     return Evaluator(tbox, abox, heights, fresh, notes)
 
 
+# The engines by name, each mapping an evaluator to its answer search and its
+# run-witness search, both read off the evaluator when the entry is called;
+# the oracle has no run witness.  The first is the default.
+ENGINES = {
+    "collapsed": lambda ev: (ev.collapsed, ev.collapsed_witness),
+    "naive": lambda ev: (ev.naive, ev.naive_witness),
+    "oracle": lambda ev: (lambda c, x: ev.oracle(c, x)[0], None),
+}
+# The consistency pre-checks by name, each an evaluator's verdict "the KB is
+# inconsistent".  The first is the default.
+CONSISTENCY_CHECKS = {
+    "oracle": lambda ev: ev.oracle_inconsistent(),
+    "automaton": lambda ev: ev.automaton_inconsistent(),
+    "none": lambda ev: False,
+}
+
+
 def entails_iq(
     gcis,
     abox: AboxGraph,
@@ -426,25 +443,24 @@ def entails_iq(
 ) -> IqResult:
     """The full pipeline: ``compile_kb``, consistency pre-check, evaluate.
 
-    `engine` is one of collapsed/naive/oracle; `consistency` is oracle (the
-    default), automaton (experimental), or none.  A user `order` (name ->
-    height) is completed on the fresh names and verified.  The diagnostics count,
-    under ``closure_contexts``, the type closure contexts the query created:
-    the whole-TBox ones its successor types and the pre-check share, plus
-    every level's roots (``LevelMap.closure_contexts``).
+    `engine` names an entry of ``ENGINES`` and `consistency` one of
+    ``CONSISTENCY_CHECKS``; an unknown name raises KbError before any other
+    work.  A user `order` (name -> height) is completed on the fresh names
+    and verified.
+    On an inconsistent KB the answer is true, with no witness and no
+    ``visited`` count.  The diagnostics count, under ``closure_contexts``,
+    the type closure contexts the query created: the whole-TBox ones its
+    successor types and the pre-check share, plus every level's roots
+    (``LevelMap.closure_contexts``).
     """
     t0 = time.perf_counter()
+    if engine not in ENGINES:
+        raise KbError(f"unknown engine {engine!r}")
+    if consistency not in CONSISTENCY_CHECKS:
+        raise KbError(f"unknown consistency check {consistency!r}")
     abox.require(ind)
     ev = compile_kb(gcis, abox, order, concept)
-
-    inconsistent = False
-    if consistency == "oracle":
-        inconsistent = ev.oracle_inconsistent()
-    elif consistency == "automaton":
-        inconsistent = ev.automaton_inconsistent()
-    elif consistency != "none":
-        raise KbError(f"unknown consistency check {consistency!r}")
-
+    inconsistent = CONSISTENCY_CHECKS[consistency](ev)
     diagnostics = {
         "engine": engine,
         "consistency": consistency,
@@ -452,30 +468,18 @@ def entails_iq(
         "notes": ev.notes,
         "level": ev.levels.height(concept),
     }
-    if inconsistent:
-        diagnostics["closure_contexts"] = ev.levels.closure_contexts()
-        diagnostics["elapsed"] = time.perf_counter() - t0
-        return IqResult(True, None, True, ev.heights, diagnostics)
-
-    witness = None
-    if engine == "collapsed":
-        search, witness_search = ev.collapsed, ev.collapsed_witness
-    elif engine == "naive":
-        search, witness_search = ev.naive, ev.naive_witness
-    elif engine == "oracle":
-        search, witness_search = (lambda c, x: ev.oracle(c, x)[0]), None
-    else:
-        raise KbError(f"unknown engine {engine!r}")
-    if want_witness and witness_search:  # one search answers and witnesses
-        witness = witness_search(concept, ind)
-        answer = witness is not None
-    else:
-        answer = search(concept, ind)
-    diagnostics["visited"] = ev.collapsed_visited + ev.naive_visited  # one is 0
-
+    answer, witness = True, None  # an inconsistent KB entails everything
+    if not inconsistent:
+        search, witness_search = ENGINES[engine](ev)
+        if want_witness and witness_search:  # one search answers and witnesses
+            witness = witness_search(concept, ind)
+            answer = witness is not None
+        else:
+            answer = search(concept, ind)
+        diagnostics["visited"] = ev.collapsed_visited + ev.naive_visited  # one is 0
     diagnostics["closure_contexts"] = ev.levels.closure_contexts()
     diagnostics["elapsed"] = time.perf_counter() - t0
-    return IqResult(answer, witness, False, ev.heights, diagnostics)
+    return IqResult(answer, witness, inconsistent, ev.heights, diagnostics)
 
 
 # ---------------------------------------------------------------------------

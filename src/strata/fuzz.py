@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Tuple
 
-from .evaluate import Evaluator, validate_witness
+from .evaluate import ENGINES, Evaluator, validate_witness
 from .kb import (
     BOT,
     TOP,
@@ -241,30 +241,25 @@ def run_case(case: int, case_seed: int, limits=SIZE_CLASSES["default"]):
     ev = Evaluator(tbox, abox, res.height if order is None else order)
     inconsistent = ev.oracle_inconsistent()
     queries = 0
-    oracle_check = lambda c, x: ev.oracle(c, x)[0]
+    searches = {name: engine(ev) for name, engine in ENGINES.items()}
+    witness_searches = [w for _, w in searches.values() if w is not None]
+    oracle_check = searches["oracle"][0]
     for concept in tbox.concept_names:
         for ind in abox.individuals:
             queries += 1
             if inconsistent:
                 continue  # the shared pre-check answers true for every engine
             top = max(top, ev.levels.height(concept))
-            answers = {
-                "collapsed": ev.collapsed(concept, ind),
-                "naive": ev.naive(concept, ind),
-                "oracle": ev.oracle(concept, ind)[0],
-                "naive_weak": ev.naive(concept, ind, include_weak=True),
-            }
-            if len(set(answers.values())) != 1:
+            answers = {name: search(concept, ind) for name, (search, _) in searches.items()}
+            answers["naive_weak"] = ev.naive(concept, ind, include_weak=True)
+            agreed = set(answers.values())
+            if len(agreed) != 1:
                 fail(concept, ind, answers)
                 continue
-            if answers["collapsed"]:
+            if True in agreed:
                 try:
-                    validate_witness(
-                        ev.collapsed_witness(concept, ind), abox, ind, oracle_check
-                    )
-                    validate_witness(
-                        ev.naive_witness(concept, ind), abox, ind, oracle_check
-                    )
+                    for witness_search in witness_searches:
+                        validate_witness(witness_search(concept, ind), abox, ind, oracle_check)
                 except KbError as exc:
                     fail(concept, ind, {"witness": str(exc)})
                     continue
@@ -275,7 +270,7 @@ def run_case(case: int, case_seed: int, limits=SIZE_CLASSES["default"]):
                 except (KbError, AssertionError) as exc:  # the builder asserts its records
                     fail(concept, ind, {"trace": str(exc)})
                     continue
-                witnesses += 3
+                witnesses += len(witness_searches) + 1  # and the trace
     return queries, failures, witnesses, top
 
 

@@ -286,13 +286,16 @@ def _alphabet_lines(nfa: NestedNfa):
 
 def export_automaton(nfa: NestedNfa, fmt: str = "text") -> str:
     """Deterministic text or dot rendering of the reachable fragment."""
-    if fmt == "text":
-        chunks = []
-        for member in _family_members(nfa):
-            states = member.states
-            index = {s: i for i, s in enumerate(states)}
+    if fmt not in ("text", "dot"):
+        raise KbError(f"unknown export format {fmt!r}")
+    chunks = []  # the lines of each family member
+    for member in _family_members(nfa):
+        states = member.states
+        index = {s: i for i, s in enumerate(states)}
+        name = member.for_concept
+        if fmt == "text":
             lines = [
-                f"automaton: {member.for_concept}",
+                f"automaton: {name}",
                 f"level: {member.level}",
                 f"alphabet: {_alphabet_lines(member)}",
                 f"states: {len(states)}",
@@ -306,16 +309,11 @@ def export_automaton(nfa: NestedNfa, fmt: str = "text") -> str:
                 member.transitions, key=lambda t: (index[t[0]], str(t[1]), index[t[2]])
             ):
                 lines.append(f"transition: {index[src]} {sym} {index[dst]}")
-            chunks.append("\n".join(lines))
-        return "\n\n".join(chunks) + "\n"
-    if fmt == "dot":
-        lines = ["digraph rewriting {", "  rankdir=LR;", '  node [shape=circle];']
-        for member in _family_members(nfa):
-            states = member.states
-            index = {s: i for i, s in enumerate(states)}
-            name = member.for_concept
-            lines.append(f'  subgraph "cluster_{name}" {{')
-            lines.append(f'    label="automaton {name} (level {member.level})";')
+        else:
+            lines = [
+                f'  subgraph "cluster_{name}" {{',
+                f'    label="automaton {name} (level {member.level})";',
+            ]
             for i, s in enumerate(states):
                 shape = ' peripheries=2' if member.is_accepting(s) else ""
                 lines.append(f'    "{name}.{i}" [label="{s.label()}"{shape}];')
@@ -326,6 +324,8 @@ def export_automaton(nfa: NestedNfa, fmt: str = "text") -> str:
                 label = ", ".join(sorted(set(syms)))
                 lines.append(f'    "{name}.{i}" -> "{name}.{j}" [label="{label}"];')
             lines.append("  }")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise KbError(f"unknown export format {fmt!r}")
+        chunks.append("\n".join(lines))
+    if fmt == "text":
+        return "\n\n".join(chunks) + "\n"
+    head = ["digraph rewriting {", "  rankdir=LR;", '  node [shape=circle];']
+    return "\n".join([*head, *chunks, "}"]) + "\n"

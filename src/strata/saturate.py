@@ -289,13 +289,6 @@ class SatResult:
     justs: dict  # ind -> {concept bit: rule application}
     closer: TypeCloser  # the whole-TBox closer whose contexts the "anon" records cite
 
-    def entailed(self, ind: str) -> frozenset:
-        names = set(self.tbox.names_of(self.labels[ind]))
-        names.add(TOP)
-        # concepts asserted outside the TBox signature are still entailed
-        names.update(self.abox.asserted[ind])
-        return frozenset(names)
-
     def entails(self, concept: str, ind: str, want_trace: bool = False):
         """True iff the query is derivable, or the KB is inconsistent
         (everything follows then).  Returns (answer, trace); the trace

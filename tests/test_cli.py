@@ -136,6 +136,26 @@ def test_ask_witness_comes_from_the_search_that_answers(tmp_path, capsys, engine
     assert any(ln.startswith("witness: ") for ln in witnessed)
 
 
+def test_calls_in_one_process_print_what_each_prints_alone(tex_file, capsys):
+    # the parser is built once per process, so no flag of one call may
+    # reach the next: each call is compared with a process of its own
+    calls = [
+        ["ask", tex_file, "--query", "D(a)", "--witness"],
+        ["ask", tex_file, "--query", "D(a)"],
+        ["check", tex_file],
+        ["ask", tex_file, "--query", "C(a)", "--engine", "naive", "--consistency", "none"],
+        ["oracle", tex_file, "--ask", "D(a)", "--trace"],
+        ["ask", tex_file, "--query", "B(a)"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(strata.__file__).resolve().parents[1]))
+    for argv in calls:
+        alone = subprocess.run(
+            [sys.executable, "-m", "strata.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert main(argv) == alone.returncode, argv
+        assert capsys.readouterr().out == alone.stdout, argv
+
+
 def test_ask_unstratifiable_reports_rejection(tprime_file, capsys):
     assert main(["ask", tprime_file, "--query", "A(a)"]) == 1
     assert "result: REJECTED" in capsys.readouterr().out

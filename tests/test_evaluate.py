@@ -38,7 +38,7 @@ from strata import (
     run_fuzz,
     validate_witness,
 )
-from strata import fuzz
+from strata import evaluate, fuzz
 from strata.fuzz import SIZE_CLASSES, _case_seed
 from strata.stratify import Violation
 
@@ -143,12 +143,17 @@ def test_pipeline_counts_closure_contexts():
     assert res.diagnostics["closure_contexts"] == 7
 
 
-def test_pipeline_rejects_an_unknown_engine_or_consistency_check():
-    kb = parse_kb(TEX_TEXT)
-    with pytest.raises(KbError, match="^unknown engine 'fast'$"):
-        entails_iq(kb.gcis, kb.abox, "D", "a", engine="fast")
-    with pytest.raises(KbError, match="^unknown consistency check 'bogus'$"):
-        entails_iq(kb.gcis, kb.abox, "D", "a", consistency="bogus")
+def test_pipeline_rejects_an_unknown_engine_or_consistency_check(monkeypatch):
+    # both names are checked before the individual and before any compile,
+    # on a consistent KB, on an inconsistent one and for an unknown individual
+    monkeypatch.setattr(evaluate, "compile_kb", lambda *args: pytest.fail("compiled"))
+    inconsistent = "tbox:\nA <= Bot\nabox:\nA(a)\n"
+    for text, ind in [(TEX_TEXT, "a"), (inconsistent, "a"), (TEX_TEXT, "nobody")]:
+        kb = parse_kb(text)
+        with pytest.raises(KbError, match="^unknown engine 'fast'$"):
+            entails_iq(kb.gcis, kb.abox, "D", ind, engine="fast")
+        with pytest.raises(KbError, match="^unknown consistency check 'bogus'$"):
+            entails_iq(kb.gcis, kb.abox, "D", ind, consistency="bogus")
 
 
 def test_pipeline_rejects_unstratifiable_tbox():

@@ -174,11 +174,17 @@ def test_saturation_matches_the_per_node_path_and_its_traces_replay(limits, seed
                 assert replay_derivation(tbox, abox, trace, c, a)
 
 
+def holding(sat, ind):
+    """The names of `sat`'s TBox signature, and Top, that it entails at
+    `ind`: one ``entails`` call per name."""
+    return {c for c in (TOP, *sat.tbox.concept_names) if sat.entails(c, ind)[0]}
+
+
 def test_saturate_worked_example(tex):
     tbox, abox, _ = tex
     sat = saturate_abox(tbox, abox)
     assert not sat.inconsistent
-    assert sat.entailed("a") == frozenset({TOP, "A", "B", "C", "D"})
+    assert holding(sat, "a") == {TOP, "A", "B", "C", "D"}
 
 
 def test_saturate_propagates_along_chain():
@@ -188,7 +194,7 @@ def test_saturate_propagates_along_chain():
         role_asserts=[(Role("r"), "a1", "a2"), (Role("r"), "a2", "a3")],
     )
     sat = saturate_abox(tbox, abox)
-    assert all("A" in sat.entailed(x) for x in ("a1", "a2", "a3"))
+    assert all(holding(sat, x) == {TOP, "A"} for x in ("a1", "a2", "a3"))
 
 
 def test_saturate_flags_asserted_bot():
@@ -221,7 +227,7 @@ def test_saturate_agrees_with_naive_chase(seed):
     if not incon:
         sig = set(tbox.concept_names) | {TOP}
         for a in abox.individuals:
-            assert sat.entailed(a) & sig == (labels[a] & sig) | {TOP}
+            assert holding(sat, a) == (labels[a] & sig) | {TOP}
 
 
 def test_oracle_worked_example_with_trace(tex):
