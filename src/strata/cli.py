@@ -133,6 +133,9 @@ def _cmd_ask(args) -> int:
                 f"witness: {st.source} {st.state.label()} -{st.symbol}-> "
                 f"{st.next_state.label()} {st.target}"
             )
+    elif args.witness and result.answer and args.engine == "oracle":
+        note = "the oracle engine has no run witness; strata oracle --trace prints a derivation"
+        print(f"note: {note}")
     return 0 if result.answer else 1
 
 

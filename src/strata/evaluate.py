@@ -14,9 +14,10 @@ Three engines answer "does the KB entail C(a)?":
                   acceptance condition are monotone in the premise, and at a
                   fixed individual the premise can only ever accumulate the
                   concepts testable there; so states collapse to (individual,
-                  goal) pairs with the premise pinned to that label.  The
-                  engine reads the automaton's goal moves from
-                  ``LevelMap.goal_moves``, where they are written once.
+                  goal bit) pairs with the premise pinned to that label.
+                  The engine reads the automaton's goal moves, over bits,
+                  from ``LevelMap.goal_moves``, where they are written once;
+                  goal bits become names only in a witness.
                   The engine's one memo holds, per individual, the lower
                   names decided there and which of them hold; a query is
                   one search at its level.  A node decides a lower name
@@ -26,7 +27,7 @@ Three engines answer "does the KB entail C(a)?":
                   Maier, Sagiv, Ullman, PODS 1986).  Lower levels are only
                   read as tests: a search does not expand a goal below its
                   level (see ``_collapsed_search``).  So each level is one
-                  linear reachability over (individual, goal) pairs: the
+                  linear reachability over (individual, goal bit) pairs: the
                   top query of the n-level tower ``exists r . C_i <=
                   C_{i+1}`` visits (n+1)^2 nodes, not about n^3.
 * ``oracle``:    saturation (see saturate module).
@@ -123,8 +124,6 @@ class Evaluator:
         # memo of [lower names decided there, those of them that hold]
         self._asserted: Dict[str, int] = {}
         self._memo: Dict[str, list] = {}
-        # per (level, searching Bot), see ``_search_level``
-        self._search_levels: Dict[Tuple[int, bool], tuple] = {}
         # per height, the mask of its names, for deciding lowest height first
         self._rows = tuple(sum(bit for _, bit in row) for row in self.levels.by_height)
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
@@ -158,30 +157,18 @@ class Evaluator:
         nest through every level below: highest first overflowed the stack
         on the 250-level tower of ``tests/test_scale.py``."""
         memo = self._memo.get(ind) or self._memo.setdefault(ind, [0, 0])
-        name_of = self.levels.name_of
-        for row in self._rows:
+        for n, row in enumerate(self._rows):
             todo = need & row
             if not todo:
                 continue
             while todo := todo & ~memo[0]:
                 low = todo & -todo
-                if self._collapsed_search(name_of[low], ind)[0]:
+                if self._collapsed_search(low, ind, n)[0]:
                     memo[1] |= low
                 memo[0] |= low
             need &= ~row
             if not need:
                 return
-
-    def _search_level(self, n: int, bot: bool) -> tuple:
-        """What a search at level n reads, searching Bot or not: con(T|n),
-        the names below n, the goals that are leaves, and per goal name its
-        bit, its cone and the names a node with that goal reads."""
-        got = self._search_levels.get((n, bot))
-        if got is None:
-            below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
-            leaf = 0 if bot else below
-            got = self._search_levels[n, bot] = (self.levels.con_mask(n), below, leaf, {})
-        return got
 
     def label_mask(self, ind: str, n: int) -> int:
         """Top, plus asserted concepts of con(T|n), plus strictly lower
@@ -190,17 +177,18 @@ class Evaluator:
         name below n at `ind`.  A search needs less (see
         ``_collapsed_search``), so it reads the same memo only where it has
         decided it."""
-        con, below = self._search_level(n, False)[:2]
+        below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
         self._decide(ind, below)
-        return self._asserted_at(ind) & con | self._memo[ind][1] & below
+        return self._asserted_at(ind) & self.levels.con_mask(n) | self._memo[ind][1] & below
 
     def collapsed(self, concept: str, ind: str) -> bool:
         self.abox.require(ind)
-        return self._collapsed_search(concept, ind)[0]
+        n = self.levels.height(concept)  # KbError on a name outside the TBox
+        return self._collapsed_search(1 << self.tbox.bit_of[concept], ind, n)[0]
 
-    def _collapsed_search(self, concept: str, ind: str):
-        """BFS over (individual, goal) nodes at the concept's height
-        (``LevelMap.height``); returns (answer, parents, hit).
+    def _collapsed_search(self, goal_bit: int, ind: str, n: int):
+        """BFS over (individual, goal bit) nodes at level n, the goal's
+        height (``LevelMap.height``); returns (answer, parents, hit).
 
         A node (y, g) reads the label of y at the search level n
         (``label_mask``) only on the goal's cone (``LevelMap._cone``), and
@@ -228,25 +216,22 @@ class Evaluator:
         lower goal through Bot, so under ``consistency="none"`` such a KB
         may answer differently from a search that expands every node.
         Bot's own search keeps no leaves (see ``automaton_inconsistent``)."""
-        n = self.levels.height(concept)
-        con, below, leaf, goals = self._search_level(n, concept == BOT)
+        levels = self.levels
+        con = levels.con_mask(n)
+        below = levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
+        leaf = 0 if goal_bit == BOT_BIT else below
         neighbors = self.abox.neighbors
-        goal_moves = self.levels.goal_moves
-        name_of = self.levels.name_of
+        goal_moves, cones, cone_of = levels.goal_moves, levels._cones, levels._cone
         asserted, memos = self._asserted, self._memo
-        start = (ind, concept)
+        start = (ind, goal_bit)
         parents = {start: None}
         queue = deque([start])
         while queue:
             node = queue.popleft()
             self.collapsed_visited += 1
-            x, goal = node
-            got = goals.get(goal)
-            if got is None:
-                bit = 1 << self.tbox.bit_of[goal]
-                cone = self.levels._cone(bit)
-                got = goals[goal] = (bit, cone, bit if bit & leaf else cone & below)
-            bit, cone, need = got
+            x, bit = node
+            cone = cones.get(bit) or cone_of(bit)
+            need = bit if bit & leaf else cone & below
             lab = asserted.get(x) or self._asserted_at(x)
             lab &= con
             if need:
@@ -263,13 +248,13 @@ class Evaluator:
             if swaps & TOP_BIT and (lab != TOP_BIT or self.label_mask(x, n) != TOP_BIT):
                 swaps ^= TOP_BIT
             succ = []
-            for role, name in steps:
+            for role, gbit in steps:
                 for y in (x,) if role is None else neighbors(x, role):
-                    succ.append(((y, name), role))
+                    succ.append(((y, gbit), role))
             while swaps:
                 low = swaps & -swaps
                 swaps ^= low
-                succ.append(((x, name_of[low]), None))
+                succ.append(((x, low), None))
             for node2, role in succ:
                 if node2 not in parents:
                     parents[node2] = (node, role)
@@ -283,15 +268,18 @@ class Evaluator:
         holds every bit the search read there and is the same at every node
         of one individual, so a test step keeps it."""
         self.abox.require(ind)
-        found, parents, hit = self._collapsed_search(concept, ind)
+        n = self.levels.height(concept)
+        found, parents, hit = self._collapsed_search(1 << self.tbox.bit_of[concept], ind, n)
         if not found:
             return None
-        con, below = self._search_level(self.levels.height(concept), concept == BOT)[:2]
+        con = self.levels.con_mask(n)
+        below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
+        names_of, name_of = self.tbox.names_of, self.tbox.name_of
 
         def state(node):
-            x, goal = node
+            x, bit = node
             holds = self._memo.get(x, (0, 0))[1]
-            return AutState(self.tbox.names_of(self._asserted[x] & con | holds & below), goal)
+            return AutState(names_of(self._asserted[x] & con | holds & below), name_of[bit])
 
         return _witness(parents, hit, state, RoleStep)
 
@@ -448,7 +436,8 @@ def entails_iq(
     work.  A user `order` (name -> height) is completed on the fresh names
     and verified.
     On an inconsistent KB the answer is true, with no witness and no
-    ``visited`` count.  The diagnostics count, under ``closure_contexts``,
+    ``visited`` count; otherwise ``visited`` counts the nodes of the
+    engine's own search, not the pre-check's.  The diagnostics count, under ``closure_contexts``,
     the type closure contexts the query created: the whole-TBox ones its
     successor types and the pre-check share, plus every level's roots
     (``LevelMap.closure_contexts``).
@@ -461,6 +450,7 @@ def entails_iq(
     abox.require(ind)
     ev = compile_kb(gcis, abox, order, concept)
     inconsistent = CONSISTENCY_CHECKS[consistency](ev)
+    visited = ev.collapsed_visited + ev.naive_visited  # the pre-check's own
     diagnostics = {
         "engine": engine,
         "consistency": consistency,
@@ -476,7 +466,7 @@ def entails_iq(
             answer = witness is not None
         else:
             answer = search(concept, ind)
-        diagnostics["visited"] = ev.collapsed_visited + ev.naive_visited  # one is 0
+        diagnostics["visited"] = ev.collapsed_visited + ev.naive_visited - visited
     diagnostics["closure_contexts"] = ev.levels.closure_contexts()
     diagnostics["elapsed"] = time.perf_counter() - t0
     return IqResult(answer, witness, inconsistent, ev.heights, diagnostics)

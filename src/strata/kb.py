@@ -259,7 +259,12 @@ class TBox:
     Concept names are assigned bit positions (Top=bit 0, Bot=bit 1) so that
     sets of concepts can be carried around as integer masks; `extra_concepts`
     get bits too, though no axiom mentions them.  ``rules`` holds the
-    compiled rules, over those bits.
+    compiled rules, over those bits, and ``steps`` the goal steps: the sub,
+    existential-body and conjunction axioms read backwards.  Per head bit,
+    ``steps`` lists (role or None, goal bit, need mask, axiom) in axiom
+    order: (None, B, 0) for ``B <= g``, (r, F, 0) for ``exists r . F <= g``,
+    and (None, B2, need B1) then (None, B1, need B2) for ``B1 & B2 <= g``,
+    where a step applies to a premise that holds its need mask.
     """
 
     def __init__(self, axioms: Iterable[NormGci], extra_concepts: Iterable[str] = ()):
@@ -291,7 +296,7 @@ class TBox:
         self.bit_of = {TOP: 0, BOT: 1}
         for i, c in enumerate(self.concept_names):
             self.bit_of[c] = i + 2
-        self._name_of = {b: c for c, b in self.bit_of.items()}
+        self.name_of = {1 << b: c for c, b in self.bit_of.items()}
 
         sig = TOP_BIT
         for c in self.concept_names:
@@ -301,25 +306,27 @@ class TBox:
         self.signature_mask = sig
 
         bit_of = self.bit_of
-        subs, conjs, exlefts, heads = [], [], [], []
+        subs, conjs, exlefts, heads, steps = [], [], [], [], {}
         for a in self.axioms:
-            if isinstance(a, Sub):
-                subs.append((1 << bit_of[a.lhs], 1 << bit_of[a.rhs], a))
-            elif isinstance(a, ConjSub):
-                lmask = 1 << bit_of[a.lhs1] | 1 << bit_of[a.lhs2]
-                conjs.append((lmask, 1 << bit_of[a.rhs], a))
-            elif isinstance(a, ExLeft):
-                exlefts.append((a.role, 1 << bit_of[a.filler], 1 << bit_of[a.rhs], a))
-            else:
+            if isinstance(a, ExRight):
                 heads.append((1 << bit_of[a.lhs], 1 << bit_of[a.filler], a))
+                continue
+            rbit = 1 << bit_of[a.rhs]
+            at = steps.setdefault(rbit, [])
+            if isinstance(a, Sub):
+                lbit = 1 << bit_of[a.lhs]
+                subs.append((lbit, rbit, a))
+                at.append((None, lbit, 0, a))
+            elif isinstance(a, ConjSub):
+                b1, b2 = 1 << bit_of[a.lhs1], 1 << bit_of[a.lhs2]
+                conjs.append((b1 | b2, rbit, a))
+                at += ((None, b2, b1, a), (None, b1, b2, a))
+            else:
+                fbit = 1 << bit_of[a.filler]
+                exlefts.append((a.role, fbit, rbit, a))
+                at.append((a.role, fbit, 0, a))
         self.rules = rule_index(subs, conjs, exlefts, heads)
-
-        rhs_index = {}
-        for a in self.axioms:
-            rhs = getattr(a, "rhs", None)  # ExRight has no rhs concept name
-            if rhs is not None:
-                rhs_index.setdefault(rhs, []).append(a)
-        self._rhs_index = {k: tuple(v) for k, v in rhs_index.items()}
+        self.steps = {head: tuple(v) for head, v in steps.items()}
 
     def with_concept(self, name: str) -> "TBox":
         """This TBox with `name` adjoined to its signature if no axiom
@@ -327,10 +334,6 @@ class TBox:
         if name in self.bit_of:
             return self
         return TBox(self.axioms, extra_concepts=(name,))
-
-    def by_rhs(self, name: str):
-        """Axioms whose right-hand side is exactly `name` (Bot included)."""
-        return self._rhs_index.get(name, ())
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
@@ -340,12 +343,10 @@ class TBox:
 
     def names_of(self, mask: int) -> frozenset:
         out = []
-        b = 0
         while mask:
-            if mask & 1:
-                out.append(self._name_of[b])
-            mask >>= 1
-            b += 1
+            low = mask & -mask
+            mask ^= low
+            out.append(self.name_of[low])
         return frozenset(out)
 
     def __repr__(self):

@@ -25,10 +25,14 @@ seven schemas:
 
 The four goal moves (sbus, succ, noc, anon) are written once, in
 ``LevelMap.goal_moves``, which computes them per (level, premise, goal) for
-the automaton and the collapsed engine alike; the automaton adds weak, data
-and aut around them.  Two shortcuts keep the anon closure calls few without
-changing the set.  If the premise alone entails the goal, monotonicity makes
-every candidate qualify.  Otherwise only names in the goal's dependency cone
+the automaton and the collapsed engine alike, over bits; the automaton adds
+weak, data and aut around them and names the goals.  The sbus, succ and noc
+steps are the sub, existential-body and conjunction axioms read backwards,
+compiled once with the TBox's rules (``TBox.steps``); goal_moves keeps
+those of T|n, a noc step only where the premise holds its other conjunct.
+Two shortcuts keep the anon closure calls few without changing the set.  If
+the premise alone entails the goal, monotonicity makes every candidate
+qualify.  Otherwise only names in the goal's dependency cone
 are tested: the names from which body->head edges of the whole TBox reach the
 goal or Bot (Bot floods every type).  The edges are A->B for ``A <= B``; both
 conjuncts to the head of ``A & A2 <= B``; X->B for ``exists r . X <= B``; and
@@ -168,15 +172,15 @@ class NestedNfa:
                 out.append((TOP_TEST, AutState(premise - {c}, goal)))
         for b in self.con_names:
             out.append((ConceptTest(b), AutState(premise | {b}, goal)))
-        bit_of = self.tbox.bit_of
+        bit_of, name_of = self.tbox.bit_of, self.tbox.name_of
         steps, swaps = self.family.levels.goal_moves(
             self.level, self.tbox.mask_of(premise), 1 << bit_of[goal]
         )
-        for role, name in steps:
+        for role, bit in steps:
             if role is None:
-                out.append((TOP_TEST, AutState(premise, name)))
+                out.append((TOP_TEST, AutState(premise, name_of[bit])))
             else:
-                out.append((RoleStep(role), AutState(frozenset({TOP}), name)))
+                out.append((RoleStep(role), AutState(frozenset({TOP}), name_of[bit])))
         for b in self.con_names:
             if swaps >> bit_of[b] & 1:
                 out.append((TOP_TEST, AutState(premise, b)))

@@ -285,7 +285,7 @@ class SatResult:
     abox: AboxGraph
     labels: Dict[str, int]
     inconsistent: bool
-    bot_at: Optional[str]
+    bot_at: Optional[str]  # the first individual, in ABox order, whose label holds Bot
     justs: dict  # ind -> {concept bit: rule application}
     closer: TypeCloser  # the whole-TBox closer whose contexts the "anon" records cite
 
@@ -337,17 +337,12 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     # its own pushes were last made from.
     new_bits = dict(labels)
     pushed_from = dict.fromkeys(abox.individuals, 0)
-    inconsistent = False
-    bot_at = None
 
     while queue:
         a = queue.popleft()
         queued.discard(a)
         cur = labels[a] = _fire(rules, labels[a], child_of, flood, justs[a], new_bits[a])
         new_bits[a] = 0
-        if cur & BOT_BIT and not inconsistent:
-            inconsistent = True
-            bot_at = a
         # push existential bodies with a filler new at `a` across asserted
         # edges; older fillers were pushed already, and labels only grow
         todo = 0
@@ -361,13 +356,11 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
                     labels[nb] |= rbit
                     new_bits[nb] |= rbit
                     justs[nb][rbit] = ("edge", exl, a)
-                    if rbit == BOT_BIT and not inconsistent:
-                        inconsistent = True
-                        bot_at = nb
                     if nb not in queued:
                         queue.append(nb)
                         queued.add(nb)
-    return SatResult(tbox, abox, labels, inconsistent, bot_at, justs, closer)
+    bot_at = next((a for a in abox.individuals if labels[a] & BOT_BIT), None)
+    return SatResult(tbox, abox, labels, bot_at is not None, bot_at, justs, closer)
 
 
 # ---------------------------------------------------------------------------

@@ -433,7 +433,6 @@ class LevelMap:
             mask |= sum(bit for _, bit in row)
             masks.append(mask | (BOT_BIT if n >= bot_from else 0))
         self._con_masks = tuple(masks)
-        self.name_of = {1 << b: c for c, b in tbox.bit_of.items()}
 
     def height(self, name: str) -> int:
         """The level `name` is searched and rewritten at: its height, 0 for
@@ -496,12 +495,12 @@ class LevelMap:
         """The moves replacing the goal of a (premise, goal) state at
         `level`, as ``(steps, swaps)``, computed once per argument triple.
 
-        `steps` holds (role, name) pairs, in the axiom order of T|level,
-        read off the whole TBox's ``by_rhs(goal)`` with the axioms above
-        `level` skipped: (None, B) for ``B <= goal`` (sbus), (r, F) for
-        ``exists r . F <= goal`` (succ, a move to an r-neighbour), and for
-        ``B1 & B2 <= goal`` (None, B2) if B1 is in the premise and (None,
-        B1) if B2 is (noc).
+        `steps` holds (role, goal bit) pairs: the entries of the whole
+        TBox's ``steps`` for the goal, in axiom order, whose axiom lies in
+        T|level and whose need mask the premise holds.  They are (None, B)
+        for ``B <= goal`` (sbus), (r, F) for ``exists r . F <= goal`` (succ,
+        a move to an r-neighbour), and for ``B1 & B2 <= goal`` (None, B2) if
+        B1 is in the premise and (None, B1) if B2 is (noc).
         `swaps` (anon) holds the bits B of con(T|level) whose addition to
         the premise entails the goal at that level; Top only for the bare
         premise {Top}, since with more in the premise a premise-member swap
@@ -517,20 +516,12 @@ class LevelMap:
         key = (level, premise_mask, goal_bit)
         got = self._moves.get(key)
         if got is None:
-            bit_of, level_of = self.tbox.bit_of, self._level_of
-            steps = []
-            for ax in self.tbox.by_rhs(self.name_of[goal_bit]):
-                if level_of[ax] > level:
-                    continue
-                if isinstance(ax, Sub):
-                    steps.append((None, ax.lhs))
-                elif isinstance(ax, ExLeft):
-                    steps.append((ax.role, ax.filler))
-                elif isinstance(ax, ConjSub):
-                    if premise_mask >> bit_of[ax.lhs1] & 1:
-                        steps.append((None, ax.lhs2))
-                    if premise_mask >> bit_of[ax.lhs2] & 1:
-                        steps.append((None, ax.lhs1))
+            level_of = self._level_of
+            steps = tuple(
+                (role, bit)
+                for role, bit, need, ax in self.tbox.steps.get(goal_bit, ())
+                if level_of[ax] <= level and premise_mask & need == need
+            )
             candidates = self.con_mask(level)
             if premise_mask != TOP_BIT:
                 candidates &= ~TOP_BIT
@@ -545,7 +536,7 @@ class LevelMap:
                     rest ^= low
                     if closer.closure_mask(premise_mask | low) & goal_bit:
                         swaps |= low
-            got = self._moves[key] = (tuple(steps), swaps)
+            got = self._moves[key] = (steps, swaps)
         return got
 
     def _cone(self, goal_bit: int) -> int:

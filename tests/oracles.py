@@ -279,22 +279,27 @@ def swap_mask_scan(closer: TypeCloser, con_mask: int, premise_mask: int, goal_bi
 def goal_moves_scan(
     tbox: TBox, closer: TypeCloser, con_mask: int, premise_mask: int, goal_bit: int
 ):
-    """The goal moves by per-axiom dispatch: the sbus, succ and noc steps of
-    every axiom of T|n with the goal on its right, where `tbox` is
-    ``restrict(T, h, n)`` and `closer` the closer of T|n that
-    ``level_closer`` builds, plus the swaps ``swap_mask_scan`` finds."""
-    goal = next(name for name, pos in tbox.bit_of.items() if 1 << pos == goal_bit)
+    """The goal moves by per-axiom dispatch: the sbus, succ and noc steps,
+    as (role, goal bit) pairs, of every axiom of T|n with the goal on its
+    right, where `tbox` is ``restrict(T, h, n)`` and `closer` the closer of
+    T|n that ``level_closer`` builds, plus the swaps ``swap_mask_scan``
+    finds."""
+    goal = tbox.names_of(goal_bit)
+    premise = tbox.names_of(premise_mask)
+    bit = tbox.mask_of
     steps = []
-    for ax in tbox.by_rhs(goal):
+    for ax in tbox.axioms:
+        if isinstance(ax, ExRight) or ax.rhs not in goal:
+            continue
         if isinstance(ax, Sub):
-            steps.append((None, ax.lhs))
+            steps.append((None, bit([ax.lhs])))
         elif isinstance(ax, ExLeft):
-            steps.append((ax.role, ax.filler))
+            steps.append((ax.role, bit([ax.filler])))
         elif isinstance(ax, ConjSub):
-            if ax.lhs1 in tbox.names_of(premise_mask):
-                steps.append((None, ax.lhs2))
-            if ax.lhs2 in tbox.names_of(premise_mask):
-                steps.append((None, ax.lhs1))
+            if ax.lhs1 in premise:
+                steps.append((None, bit([ax.lhs2])))
+            if ax.lhs2 in premise:
+                steps.append((None, bit([ax.lhs1])))
     return tuple(steps), swap_mask_scan(closer, con_mask, premise_mask, goal_bit)
 
 

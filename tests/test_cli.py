@@ -136,6 +136,35 @@ def test_ask_witness_comes_from_the_search_that_answers(tmp_path, capsys, engine
     assert any(ln.startswith("witness: ") for ln in witnessed)
 
 
+VISITED_TEXT = "tbox:\nA <= B\nA & B <= C\nC <= exists r . Top\nexists r . Top <= D\nabox:\nA(a)\n"
+
+
+@pytest.mark.parametrize("engine, visited", [("collapsed", 5), ("naive", 10), ("oracle", 0)])
+@pytest.mark.parametrize("check", ["oracle", "automaton", "none"])
+def test_ask_visited_counts_only_the_engines_own_search(tmp_path, capsys, engine, visited, check):
+    # the automaton pre-check searches Bot from every individual; those
+    # nodes are not the query's
+    p = tmp_path / "visited.kb"
+    p.write_text(VISITED_TEXT, encoding="utf-8")
+    assert main(["ask", str(p), "--query", "D(a)", "--engine", engine, "--consistency", check]) == 0
+    assert f"visited: {visited}" in capsys.readouterr().out.splitlines()
+
+
+def test_ask_oracle_witness_notes_that_it_has_none(tmp_path, capsys):
+    p = tmp_path / "visited.kb"
+    p.write_text(VISITED_TEXT, encoding="utf-8")
+    note = "note: the oracle engine has no run witness; strata oracle --trace prints a derivation"
+    assert main(["ask", str(p), "--query", "D(a)", "--engine", "oracle", "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert note in out and not any(ln.startswith("witness: ") for ln in out)
+    # not without --witness, and not on a false answer
+    assert main(["ask", str(p), "--query", "B(a)", "--engine", "oracle"]) == 0
+    q = tmp_path / "false.kb"
+    q.write_text("tbox:\nA <= B\nabox:\nB(a)\n", encoding="utf-8")
+    assert main(["ask", str(q), "--query", "A(a)", "--engine", "oracle", "--witness"]) == 1
+    assert note not in capsys.readouterr().out.splitlines()
+
+
 def test_calls_in_one_process_print_what_each_prints_alone(tex_file, capsys):
     # the parser is built once per process, so no flag of one call may
     # reach the next: each call is compared with a process of its own

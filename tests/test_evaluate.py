@@ -347,11 +347,12 @@ def test_goal_moves_peel_the_conjunct_missing_from_the_premise():
     tbox = TBox([ConjSub("A", "B", "C")])
     levels = LevelMap(tbox, check_stratification(tbox).height)
     n, goal = levels.height("C"), tbox.mask_of(["C"])
+    a, b = tbox.mask_of(["A"]), tbox.mask_of(["B"])
     assert levels.goal_moves(n, tbox.mask_of([TOP]), goal)[0] == ()
-    assert levels.goal_moves(n, tbox.mask_of([TOP, "A"]), goal)[0] == ((None, "B"),)
-    assert levels.goal_moves(n, tbox.mask_of([TOP, "B"]), goal)[0] == ((None, "A"),)
+    assert levels.goal_moves(n, tbox.mask_of([TOP, "A"]), goal)[0] == ((None, b),)
+    assert levels.goal_moves(n, tbox.mask_of([TOP, "B"]), goal)[0] == ((None, a),)
     both = levels.goal_moves(n, tbox.mask_of([TOP, "A", "B"]), goal)[0]
-    assert both == ((None, "B"), (None, "A"))
+    assert both == ((None, b), (None, a))
 
 
 @settings(max_examples=10)

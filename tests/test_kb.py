@@ -419,15 +419,29 @@ def test_validate_accepts_normal_shaped_surface_gcis():
     assert validate_normal_form(kb_from_normal(tbox, kb.abox).gcis) == []
 
 
-def test_tbox_rhs_index_is_consistent(tex):
-    tbox, _, _ = tex
-    for ax in tbox.axioms:
-        rhs = getattr(ax, "rhs", None)
-        if rhs is not None:
-            assert ax in tbox.by_rhs(rhs)
-    for name in (*tbox.concept_names, TOP, BOT):
-        for ax in tbox.by_rhs(name):
-            assert ax.rhs == name
+def test_tbox_steps_read_the_axioms_backwards_in_axiom_order():
+    r = Role("r")
+    axioms = [
+        ConjSub("A", "B", "C"),
+        Sub("A", "C"),
+        ExRight("A", r, "B"),
+        ExLeft(r.invert(), "B", "C"),
+        ConjSub("A", "A", "B"),
+        Sub("B", BOT),
+    ]
+    tbox = TBox(axioms)
+    a, b, c, bot = (tbox.mask_of([x]) for x in ("A", "B", "C", BOT))
+    conj, sub, _, exl, twice, to_bot = axioms
+    assert tbox.steps == {
+        c: (
+            (None, b, a, conj),
+            (None, a, b, conj),
+            (None, a, 0, sub),
+            (r.invert(), b, 0, exl),
+        ),
+        b: ((None, a, a, twice), (None, a, a, twice)),
+        bot: ((None, b, 0, to_bot),),
+    }
 
 
 def test_tbox_rejects_concept_role_clash():
