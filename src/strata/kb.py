@@ -353,8 +353,19 @@ class TBox:
         return f"TBox({len(self.axioms)} axioms)"
 
 
+# the label of every individual without a concept assertion, shared by all
+_NO_NAMES = frozenset()
+# the adjacency `neighbors` reads for a role without edges; never written
+_NO_EDGES = {}
+
+
 class AboxGraph:
-    """Individuals with concept labels and role adjacency closed under inversion."""
+    """Individuals with concept labels and role adjacency closed under inversion.
+
+    The adjacency is kept per role, ``role -> {individual: neighbours}``,
+    with both directions of every edge; each neighbour tuple is sorted and
+    free of duplicates.  Every individual without a concept assertion has
+    the same empty label object."""
 
     def __init__(self, concept_asserts=(), role_asserts=(), individuals=()):
         inds = set(individuals)
@@ -362,60 +373,90 @@ class AboxGraph:
         for c, a in concept_asserts:
             inds.add(a)
             if c != TOP:  # Top holds everywhere; not stored
-                asserted.setdefault(a, set()).add(c)
-        edges = {}
+                names = asserted.get(a)
+                if names is None:
+                    asserted[a] = {c}
+                else:
+                    names.add(c)
+        # a key's first neighbour is stored as a 1-tuple; a second one turns
+        # it into a list, noted in `grown`, which is sorted and deduplicated
+        # once at the end
+        adj, pairs, grown = {}, {}, []
         for role, a, b in role_asserts:
-            inds.add(a)
-            inds.add(b)
-            edges.setdefault((a, role), set()).add(b)
-            edges.setdefault((b, role.invert()), set()).add(a)
+            pair = pairs.get(role)
+            if pair is None:
+                pair = pairs[role] = (adj.setdefault(role, {}), adj.setdefault(role.invert(), {}))
+            fwd, bwd = pair
+            got = fwd.get(a)
+            if got is None:
+                fwd[a] = (b,)
+            else:
+                if got.__class__ is tuple:
+                    got = fwd[a] = [*got]
+                    grown.append((fwd, a))
+                got.append(b)
+            got = bwd.get(b)
+            if got is None:
+                bwd[b] = (a,)
+            else:
+                if got.__class__ is tuple:
+                    got = bwd[b] = [*got]
+                    grown.append((bwd, b))
+                got.append(a)
+        for out, a in grown:
+            out[a] = tuple(sorted(set(out[a])))
+        for out in adj.values():
+            inds.update(out)
         self.individuals = tuple(sorted(inds))
-        self.asserted = {a: frozenset(asserted.get(a, ())) for a in self.individuals}
-        self._adj = {k: tuple(sorted(v)) for k, v in edges.items()}
+        self.asserted = dict.fromkeys(self.individuals, _NO_NAMES)
+        for a, names in asserted.items():
+            self.asserted[a] = frozenset(names)
+        self._adj = adj
 
     def names(self) -> frozenset:
         """Every name the ABox uses: individuals, concepts and roles."""
-        names = set(self.individuals).union(*self.asserted.values())
-        names.update(role.name for _, role in self._adj)
-        return frozenset(names)
+        labels = set(self.asserted.values())
+        return frozenset(self.individuals).union(*labels, self.role_names())
+
+    def role_names(self) -> frozenset:
+        """The role names of the ABox's role assertions."""
+        return frozenset(role.name for role in self._adj)
 
     def require(self, ind: str):
         """Raise KbError unless `ind` is an individual of the ABox."""
         if ind not in self.asserted:
             raise KbError(f"unknown individual {ind!r}")
 
+    def adjacency(self, role: Role) -> dict:
+        """The `role` edges as individual -> neighbours; read only."""
+        return self._adj.get(role) or {}
+
     def neighbors(self, ind: str, role: Role):
-        return self._adj.get((ind, role), ())
+        return self._adj.get(role, _NO_EDGES).get(ind, ())
 
     def has_edge(self, a: str, role: Role, b: str) -> bool:
-        return b in self._adj.get((a, role), ())
+        return b in self.neighbors(a, role)
 
     def role_asserts(self):
-        """One canonical (role, a, b) triple per stored edge pair."""
-        out = []
-        for (a, role), targets in sorted(self._adj.items()):
-            if role.inverted:
-                continue
-            for b in targets:
-                out.append((role, a, b))
-        return out
+        """One canonical (role, a, b) triple per stored edge pair, ordered by
+        a, then role, then b."""
+        out = [
+            (a, role, b)
+            for role, edges in self._adj.items()
+            if not role.inverted
+            for a, nbs in edges.items()
+            for b in nbs
+        ]
+        out.sort()
+        return [(role, a, b) for a, role, b in out]
 
     def concept_asserts(self):
-        out = []
-        for a in self.individuals:
-            for c in sorted(self.asserted[a]):
-                out.append((c, a))
-        return out
+        return [(c, a) for a, names in self.asserted.items() if names for c in sorted(names)]
 
     def bare_individuals(self):
         """Individuals that carry no assertion at all (kept via Top(a) lines)."""
-        mentioned = set()
-        for c, a in self.concept_asserts():
-            mentioned.add(a)
-        for _, a, b in self.role_asserts():
-            mentioned.add(a)
-            mentioned.add(b)
-        return tuple(x for x in self.individuals if x not in mentioned)
+        linked = set().union(*self._adj.values())
+        return tuple(a for a, names in self.asserted.items() if not names and a not in linked)
 
     def __eq__(self, other):
         return (
@@ -424,9 +465,6 @@ class AboxGraph:
             and self.asserted == other.asserted
             and self._adj == other._adj
         )
-
-    def __hash__(self):
-        return hash((self.individuals, tuple(sorted(self._adj))))
 
     def __repr__(self):
         return f"AboxGraph({len(self.individuals)} individuals)"
@@ -450,9 +488,7 @@ class ParsedKb:
 
     def role_names(self) -> frozenset:
         """The role names the TBox or the ABox uses."""
-        names = _surface_names(self.gcis)[1]
-        names.update(role.name for role, _, _ in self.abox.role_asserts())
-        return frozenset(names)
+        return self.abox.role_names().union(_surface_names(self.gcis)[1])
 
 
 # ---------------------------------------------------------------------------

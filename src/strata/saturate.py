@@ -35,8 +35,9 @@ by default all are.  The callers then re-run semi-naively: a ``TypeCloser``
 worklist re-run starts from a type already closed under sub and conj,
 passes no new bits, and so only re-evaluates the spawns, whose successor
 types may have grown; ``saturate_abox`` passes only the bits pushed across
-edges since the individual was last closed, and pushes only the existential
-bodies whose filler is new at the individual.
+edges since the individual was last closed, makes no call at all when no
+rule body reads one of them and the label is Bot-free, and pushes only the
+existential bodies whose filler is new at the individual.
 
 Both record, for every derived fact, the rule application that first
 produced it (a ``TypeCloser`` only when it closes the whole TBox), so a full
@@ -67,14 +68,6 @@ from .kb import (
     Sub,
     TBox,
 )
-
-
-def _bits(mask: int):
-    """The set bits of `mask`, lowest first, each as a one-bit mask."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low
 
 
 def _fire(rules: Rules, cur: int, child_of, flood: int, justs=None, _new=None) -> int:
@@ -317,17 +310,21 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     contexts its traces read."""
     rules = tbox.rules
     closer = closer or TypeCloser(rules, tbox.signature_mask)
-    child_of, flood = closer.closure_mask, closer.flood_mask
-    labels = {
-        a: TOP_BIT | tbox.mask_of(abox.asserted[a] & tbox.bit_of.keys()) for a in abox.individuals
-    }
+    child_of, flood, body = closer.closure_mask, closer.flood_mask, rules.body_mask
+    # one mask per distinct asserted label: most individuals share the empty one
+    known, label_of, labels = tbox.bit_of.keys(), {}, {}
+    for a, names in abox.asserted.items():
+        m = label_of.get(names)
+        if m is None:
+            m = label_of[names] = TOP_BIT | tbox.mask_of(names & known)
+        labels[a] = m
     justs = {a: {} for a in abox.individuals}
 
     # `exists r . F <= B` holds at every r-neighbour of an F individual,
     # i.e. at its inverse-r neighbours
     pushes, by_filler = [], {}  # by_filler: filler bit -> positions in `pushes`
     for i, (role, fbit, rbit, exl) in enumerate(rules.exlefts):
-        pushes.append((role.invert(), rbit, exl))
+        pushes.append((abox.adjacency(role.invert()), rbit, exl))
         by_filler[fbit] = by_filler.get(fbit, 0) | 1 << i
     fillers = sum(by_filler)
     queue = deque(abox.individuals)
@@ -341,17 +338,25 @@ def saturate_abox(tbox: TBox, abox: AboxGraph, closer: TypeCloser = None) -> Sat
     while queue:
         a = queue.popleft()
         queued.discard(a)
-        cur = labels[a] = _fire(rules, labels[a], child_of, flood, justs[a], new_bits[a])
+        cur = labels[a]
+        # the kernel returns `cur` unchanged unless a rule body reads a new
+        # bit or Bot is to flood the label
+        if new_bits[a] & body or cur & BOT_BIT:
+            cur = labels[a] = _fire(rules, cur, child_of, flood, justs[a], new_bits[a])
         new_bits[a] = 0
         # push existential bodies with a filler new at `a` across asserted
         # edges; older fillers were pushed already, and labels only grow
-        todo = 0
-        for fbit in _bits(cur & ~pushed_from[a] & fillers):
-            todo |= by_filler[fbit]
+        fresh, todo = cur & ~pushed_from[a] & fillers, 0
         pushed_from[a] = cur
-        for low in _bits(todo):
-            inv, rbit, exl = pushes[low.bit_length() - 1]
-            for nb in abox.neighbors(a, inv):
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            todo |= by_filler[low]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            edges, rbit, exl = pushes[low.bit_length() - 1]
+            for nb in edges.get(a, ()):
                 if not labels[nb] & rbit:
                     labels[nb] |= rbit
                     new_bits[nb] |= rbit

@@ -362,3 +362,22 @@ def fire_scan(rules, cur: int, child_of, flood: int) -> int:
                     cur |= r2
                     changed = True
     return flood if cur & 2 else cur
+
+
+def abox_reference(concept_asserts, role_asserts, individuals=()):
+    """An ABox as plain sets: the (role, a, b) triples of its role
+    assertions closed under inversion, and a map from each individual to
+    the concept names asserted of it (Top aside).  Every public method of
+    ``AboxGraph`` is a scan over these two."""
+    concepts = {a: set() for a in individuals}
+    for c, a in concept_asserts:
+        concepts.setdefault(a, set())
+        if c != TOP:
+            concepts[a].add(c)
+    triples = set()
+    for role, a, b in role_asserts:
+        concepts.setdefault(a, set())
+        concepts.setdefault(b, set())
+        triples.add((role, a, b))
+        triples.add((role.invert(), b, a))
+    return triples, concepts

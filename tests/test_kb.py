@@ -30,7 +30,7 @@ from strata import (
 )
 from strata.cli import main
 
-from oracles import random_abox
+from oracles import abox_reference, random_abox
 
 
 def test_parse_minimal_kb():
@@ -218,6 +218,99 @@ def test_role_adjacency_is_closed_under_inversion(seed):
         for role in roles:
             for b in abox.neighbors(a, role):
                 assert a in abox.neighbors(b, role.invert())
+
+
+_ABOX_INDS = ("a", "b", "c", "d")
+_ABOX_ROLES = ("r", "s")
+
+
+def _check_abox_against_reference(abox, triples, concepts):
+    """Every public method of `abox` against a scan of the reference."""
+    inds = tuple(sorted(concepts))
+    assert abox.individuals == inds
+    assert abox.asserted == {a: frozenset(names) for a, names in concepts.items()}
+    for role in (Role(n, inv) for n in (*_ABOX_ROLES, "t") for inv in (False, True)):
+        edges = {}
+        for a in (*inds, "nobody"):
+            want = tuple(sorted({b for r, x, b in triples if r == role and x == a}))
+            assert abox.neighbors(a, role) == want
+            if want:
+                edges[a] = want
+            for b in inds:
+                assert abox.has_edge(a, role, b) == ((role, a, b) in triples)
+        assert abox.adjacency(role) == edges
+    canonical = sorted((a, r.name, b) for r, a, b in triples if not r.inverted)
+    assert abox.role_asserts() == [(Role(n), a, b) for a, n, b in canonical]
+    assert abox.concept_asserts() == [(c, a) for a in inds for c in sorted(concepts[a])]
+    linked = {x for _, a, b in triples for x in (a, b)}
+    bare = tuple(a for a in inds if not concepts[a] and a not in linked)
+    assert abox.bare_individuals() == bare
+    roles = {r.name for r, _, _ in triples}
+    assert abox.role_names() == roles
+    assert abox.names() == set(inds).union(*concepts.values(), roles)
+    # the canonical lists rebuild the same graph, and one more edge does not
+    again = AboxGraph(abox.concept_asserts(), abox.role_asserts(), bare)
+    assert again == abox
+    extra = (Role("t"), "a", "b")
+    assert AboxGraph(abox.concept_asserts(), [*abox.role_asserts(), extra], bare) != abox
+
+
+_abox_parts = st.tuples(
+    st.lists(
+        st.tuples(st.sampled_from((TOP, BOT, "A", "B")), st.sampled_from(_ABOX_INDS)),
+        max_size=6,
+    ),
+    st.lists(
+        st.builds(
+            lambda name, inv, a, b: (Role(name, inv), a, b),
+            st.sampled_from(_ABOX_ROLES),
+            st.booleans(),
+            st.sampled_from(_ABOX_INDS),
+            st.sampled_from(_ABOX_INDS),
+        ),
+        max_size=10,
+    ),
+    st.lists(st.sampled_from((*_ABOX_INDS, "e")), max_size=3),
+)
+
+
+@given(_abox_parts)
+@example(([], [], []))
+@example(([(TOP, "a")], [(Role("r"), "b", "b"), (Role("r"), "b", "b")], ["c"]))
+def test_abox_graph_matches_the_reference(parts):
+    concept_asserts, role_asserts, individuals = parts
+    abox = AboxGraph(concept_asserts, role_asserts, individuals)
+    _check_abox_against_reference(abox, *abox_reference(*parts))
+    # the input's order does not matter
+    shuffled = AboxGraph(concept_asserts[::-1], role_asserts[::-1], individuals[::-1])
+    assert shuffled == abox
+
+
+def test_parsed_abox_matches_the_reference():
+    text = (
+        "abox:\nr(a, b)\nr(a, b)\nr(c, c)\ninv r(d, a)\ninv s(b, a)\n"
+        "Top(e)\nA(a)\nA(a)\nBot(f)\n"
+    )
+    concept_asserts = [(TOP, "e"), ("A", "a"), ("A", "a"), (BOT, "f")]
+    role_asserts = [
+        (Role("r"), "a", "b"),
+        (Role("r"), "a", "b"),
+        (Role("r"), "c", "c"),
+        (Role("r", True), "d", "a"),
+        (Role("s", True), "b", "a"),
+    ]
+    abox = parse_kb(text).abox
+    _check_abox_against_reference(abox, *abox_reference(concept_asserts, role_asserts))
+    assert abox.bare_individuals() == ("e",)
+    # an individual with no assertion at all, which only the constructor makes
+    abox = AboxGraph(concept_asserts, role_asserts, ["g"])
+    _check_abox_against_reference(abox, *abox_reference(concept_asserts, role_asserts, ["g"]))
+    assert abox.bare_individuals() == ("e", "g")
+
+
+def test_abox_graph_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(AboxGraph())
 
 
 def test_roundtrip_preserves_order_section():

@@ -210,6 +210,83 @@ def test_saturate_detects_anonymous_inconsistency():
     assert sat.inconsistent
 
 
+# -- saturation calls the kernel only where a rule body reads a new bit, or
+# where Bot is to flood a label; the tests below are the edge cases of that
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """The `cur` argument of every later ``_fire`` call, in call order."""
+    calls = []
+
+    def fire(rules, cur, *args, **kwargs):
+        calls.append(cur)
+        return _fire(rules, cur, *args, **kwargs)
+
+    monkeypatch.setattr(saturate, "_fire", fire)
+    return calls
+
+
+def test_saturate_floods_an_asserted_bot_that_no_rule_reads():
+    tbox = TBox([Sub("A", "B")])
+    abox = AboxGraph(
+        [("A", "a"), (BOT, "b"), (BOT, "c")], [(Role("r"), "a", "b")], individuals=["d"]
+    )
+    sat = saturate_abox(tbox, abox)
+    assert sat.inconsistent and sat.bot_at == "b"
+    assert sat.labels["b"] == sat.labels["c"] == sat.closer.flood_mask
+    assert sat.labels == saturate_per_node(tbox, abox)
+
+
+def test_saturate_fires_top_rules_at_bare_individuals():
+    r = Role("r")
+    tbox = TBox([Sub(TOP, "A"), ExRight(TOP, r, "B"), ExLeft(r, "B", "C")])
+    for abox in (AboxGraph(individuals=["x"]), parse_kb("abox:\nTop(x)\n").abox):
+        sat = saturate_abox(tbox, abox)
+        assert holding(sat, "x") == {TOP, "A", "C"}
+        assert sat.labels == saturate_per_node(tbox, abox)
+        for c in ("A", "C"):
+            ans, trace = sat.entails(c, "x", want_trace=True)
+            assert ans and replay_derivation(tbox, abox, trace, c, "x")
+
+
+def test_a_bit_pushed_across_an_edge_fires_a_sub_a_conj_and_a_spawn():
+    r, s = Role("r"), Role("s")
+    tbox = TBox(
+        [
+            ExLeft(r, "F", "P"),  # P at a, from F at its r-neighbour b
+            Sub("P", "Q"),
+            ConjSub("P", "K", "M"),
+            ExRight("P", s, "G"),
+            ExLeft(s, "G", "N"),
+        ]
+    )
+    abox = AboxGraph([("F", "b"), ("K", "a")], [(r, "a", "b")])
+    sat = saturate_abox(tbox, abox)
+    assert holding(sat, "a") == {TOP, "K", "P", "Q", "M", "N"}
+    kinds = {c: sat.justs["a"][1 << tbox.bit_of[c]][0] for c in "PQMN"}
+    assert kinds == {"P": "edge", "Q": "sub", "M": "conj", "N": "anon"}
+    assert sat.labels == saturate_per_node(tbox, abox)
+    for c in "PQMN":
+        ans, trace = sat.entails(c, "a", want_trace=True)
+        assert ans and replay_derivation(tbox, abox, trace, c, "a")
+
+
+def test_saturate_calls_the_kernel_only_where_a_body_reads_a_new_bit(monkeypatch):
+    r = Role("r")
+    inds = [f"a{i}" for i in range(6)]
+    abox = AboxGraph([("B", "a5")], [(r, x, y) for x, y in zip(inds, inds[1:])], inds)
+    calls = _count_kernel_calls(monkeypatch)
+    # the one rule is an existential body: it fires by pushes, never in the kernel
+    sat = saturate_abox(TBox([ExLeft(r, "B", "B")]), abox)
+    assert calls == []
+    assert all(holding(sat, a) == {TOP, "B"} for a in inds)
+    # with B <= C, once per individual, when B arrives there
+    tbox = TBox([ExLeft(r, "B", "B"), Sub("B", "C")])
+    sat = saturate_abox(tbox, abox)
+    assert len(calls) == len(inds)
+    assert all(holding(sat, a) == {TOP, "B", "C"} for a in inds)
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 100_000))
 def test_saturate_agrees_with_naive_chase(seed):
