@@ -32,7 +32,8 @@ _QUERY_RE = re.compile(rf"^({NAME_PATTERN})\(({NAME_PATTERN})\)$")
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # a byte order mark, as some editors write, is not part of the text
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise KbError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
@@ -102,7 +103,9 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_ask(args) -> int:
+    t0 = time.perf_counter()
     kb = _load(args.kb)
+    parse_s = time.perf_counter() - t0
     concept, ind = _parse_query(args.query, kb)
     result = entails_iq(
         kb.gcis,
@@ -126,6 +129,7 @@ def _cmd_ask(args) -> int:
     )
     print(f"heights: {hline}")
     if args.timings:
+        print(f"parse-s: {parse_s:.3f}")  # reading and parsing the KB
         print(f"elapsed-s: {result.diagnostics['elapsed']:.3f}")
     if args.witness and result.witness:
         for st in result.witness:

@@ -43,6 +43,14 @@ BOT_BIT = 2
 NAME_PATTERN = "[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(NAME_PATTERN)
 _TOKEN_RE = re.compile(rf"\s*(<=|{NAME_PATTERN}|\S)")
+# the common assertion line, `[inv] NAME ( NAME [, NAME] )`, spaced as the
+# tokens may be; `inv` and the name after it are two tokens only if a space
+# parts them
+_ASSERTION_RE = re.compile(
+    rf"(?:(inv)\s+)?({NAME_PATTERN})\s*\(\s*({NAME_PATTERN})\s*(?:,\s*({NAME_PATTERN})\s*)?\)"
+)
+# the name-shaped tokens that are keywords, never names
+_KEYWORDS = frozenset(("exists", "inv"))
 # Parsing, normalizing, hashing and printing concepts all recurse on their
 # structure; this bound keeps every such pass far inside Python's recursion
 # limit, so over-deep input is a ParseError rather than a RecursionError.
@@ -559,7 +567,7 @@ class _Tokens:
 
 
 def _is_name(tok) -> bool:
-    return tok is not None and _NAME_RE.fullmatch(tok) is not None and tok not in ("exists", "inv")
+    return tok is not None and _NAME_RE.fullmatch(tok) is not None and tok not in _KEYWORDS
 
 
 class _KindTable:
@@ -568,12 +576,14 @@ class _KindTable:
     def __init__(self):
         self.kinds = {}
 
+    def agrees(self, name: str, kind: str) -> bool:
+        """Record `name` as a `kind` if it is new; whether no earlier use made
+        it another kind."""
+        return self.kinds.setdefault(name, kind) == kind
+
     def use(self, name: str, kind: str, toks: _Tokens):
-        prior = self.kinds.get(name)
-        if prior is None:
-            self.kinds[name] = kind
-        elif prior != kind:
-            toks.err(f"{name!r} used as {kind} but previously as {prior}")
+        if not self.agrees(name, kind):
+            toks.err(f"{name!r} used as {kind} but previously as {self.kinds[name]}")
 
 
 def _parse_role(toks: _Tokens, kinds: _KindTable) -> Role:
@@ -680,9 +690,45 @@ def _parse_assertion_line(toks: _Tokens, kinds: _KindTable):
     return ("role", role, first, second)
 
 
+def _match_assertion(line: str, kinds: _KindTable, roles: dict):
+    """``_parse_assertion_line``'s result for a line that `_ASSERTION_RE`
+    matches and that passes that parser's checks, made in its order; None
+    for any other line, which the token parser then reads and words the
+    error of.  A use this records before it declines is one the token parser
+    makes too, so its outcome on the line is unchanged.  `roles` keeps one
+    ``Role`` per role name across the lines of a parse."""
+    m = _ASSERTION_RE.fullmatch(line)
+    if m is None:
+        return None
+    inverted, tok, first, second = m.groups()
+    if tok in _KEYWORDS or first in _KEYWORDS or second in _KEYWORDS:
+        return None
+    if second is None:
+        if not kinds.agrees(first, "individual") or inverted:
+            return None
+        concept = RESERVED.get(tok)
+        if concept is None:
+            if not kinds.agrees(tok, "concept"):
+                return None
+            concept = tok
+        return ("concept", concept, first)
+    if not (
+        kinds.agrees(first, "individual")
+        and kinds.agrees(second, "individual")
+        and tok not in RESERVED
+        and kinds.agrees(tok, "role")
+    ):
+        return None
+    role = roles.get(tok) or roles.setdefault(tok, Role(tok))
+    if inverted:  # store canonically: inv r(a, b) is r(b, a)
+        return ("role", role, second, first)
+    return ("role", role, first, second)
+
+
 def parse_kb(text: str) -> ParsedKb:
     """Parse the text format into surface GCIs, an ABox, and an optional order."""
     kinds = _KindTable()
+    roles = {}
     gcis = []
     concept_asserts = []
     role_asserts = []
@@ -691,7 +737,9 @@ def parse_kb(text: str) -> ParsedKb:
     order_lines = {}  # name -> the order: line that placed it
     seen_sections = set()
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # break lines only where reading a file in text mode puts a "\n"
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -704,11 +752,10 @@ def parse_kb(text: str) -> ParsedKb:
             continue
         if section is None:
             raise ParseError("content before the first section header", lineno, 1)
-        toks = _Tokens(line, lineno)
-        if section == "tbox":
-            gcis.append(_parse_gci_line(toks, kinds))
-        elif section == "abox":
-            item = _parse_assertion_line(toks, kinds)
+        if section == "abox":
+            item = _match_assertion(line, kinds, roles) or _parse_assertion_line(
+                _Tokens(line, lineno), kinds
+            )
             if item[0] == "concept":
                 _, c, a = item
                 individuals.append(a)
@@ -717,6 +764,10 @@ def parse_kb(text: str) -> ParsedKb:
             else:
                 _, role, a, b = item
                 role_asserts.append((role, a, b))
+            continue
+        toks = _Tokens(line, lineno)
+        if section == "tbox":
+            gcis.append(_parse_gci_line(toks, kinds))
         else:  # order
             level = []
             while (tok := toks.peek()) is not None:

@@ -408,8 +408,22 @@ class LevelMap:
     def __init__(self, tbox: TBox, heights: Dict[str, int]):
         self.tbox = tbox
         self.heights = heights
-        self._level_of = {ax: axiom_level(ax, heights) for ax in tbox.axioms}
-        self.max_level = max(self._level_of.values(), default=0)
+        level_of = {ax: axiom_level(ax, heights) for ax in tbox.axioms}
+        self.max_level = max(level_of.values(), default=0)
+        # each axiom's level, read once here: per rule tuple of
+        # ``tbox.rules`` (subs, conjs, exlefts, spawns), aligned with them,
+        # and per goal step of ``tbox.steps``, in place of its axiom
+        rules = tbox.rules
+        self._rule_levels = (
+            tuple(level_of[a] for _, _, a in rules.subs),
+            tuple(level_of[a] for _, _, a in rules.conjs),
+            tuple(level_of[a] for _, _, _, a in rules.exlefts),
+            tuple(level_of[x[2]] for x in rules.spawns),
+        )
+        self._steps = {
+            head: tuple((role, bit, need, level_of[ax]) for role, bit, need, ax in entries)
+            for head, entries in tbox.steps.items()
+        }
         self.closer = TypeCloser(tbox.rules, tbox.signature_mask)
         self._views = {self.max_level: (tbox.rules, self.closer)}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
@@ -425,7 +439,7 @@ class LevelMap:
         # per row of by_height, con(T|n) as a mask; Bot only from the lowest
         # level whose axioms mention it
         bot_from = min(
-            (n for ax, n in self._level_of.items() if BOT in axiom_names(ax)[0]),
+            (n for ax, n in level_of.items() if BOT in axiom_names(ax)[0]),
             default=top + 1,
         )
         masks, mask = [], TOP_BIT
@@ -451,12 +465,13 @@ class LevelMap:
         n = min(n, self.max_level)
         got = self._views.get(n)
         if got is None:
-            whole, level_of = self.tbox.rules, self._level_of
+            whole = self.tbox.rules
+            subs, conjs, exlefts, spawns = self._rule_levels
             rules = rule_index(
-                [x for x in whole.subs if level_of[x[2]] <= n],
-                [x for x in whole.conjs if level_of[x[2]] <= n],
-                [x for x in whole.exlefts if level_of[x[3]] <= n],
-                [x[:3] for x in whole.spawns if level_of[x[2]] <= n],
+                [x for x, at in zip(whole.subs, subs) if at <= n],
+                [x for x, at in zip(whole.conjs, conjs) if at <= n],
+                [x for x, at in zip(whole.exlefts, exlefts) if at <= n],
+                [x[:3] for x, at in zip(whole.spawns, spawns) if at <= n],
             )
             closer = TypeCloser(rules, self.con_mask(n), shared=self.closer)
             got = self._views[n] = (rules, closer)
@@ -516,11 +531,10 @@ class LevelMap:
         key = (level, premise_mask, goal_bit)
         got = self._moves.get(key)
         if got is None:
-            level_of = self._level_of
             steps = tuple(
                 (role, bit)
-                for role, bit, need, ax in self.tbox.steps.get(goal_bit, ())
-                if level_of[ax] <= level and premise_mask & need == need
+                for role, bit, need, at in self._steps.get(goal_bit, ())
+                if at <= level and premise_mask & need == need
             )
             candidates = self.con_mask(level)
             if premise_mask != TOP_BIT:

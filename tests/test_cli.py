@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -113,9 +114,20 @@ def test_ask_output_is_deterministic(tex_file, capsys):
     first = capsys.readouterr().out
     main(["ask", tex_file, "--query", "D(a)", "--witness"])
     assert capsys.readouterr().out == first
-    assert "elapsed" not in first  # timings are gated
+    assert "elapsed" not in first and "parse-s" not in first  # timings are gated
+
+
+def test_ask_timings_print_the_parse_then_the_rest(tex_file, capsys):
+    main(["ask", tex_file, "--query", "D(a)"])
+    plain = capsys.readouterr().out.splitlines()
     main(["--timings", "ask", tex_file, "--query", "D(a)"])
-    assert "elapsed-s:" in capsys.readouterr().out
+    timed = capsys.readouterr().out.splitlines()
+    # the same lines, with reading plus parsing timed first and the rest of
+    # the ask after it, each in seconds to three places
+    at = timed.index(next(line for line in timed if line.startswith("parse-s: ")))
+    assert re.fullmatch(r"parse-s: \d+\.\d{3}", timed[at])
+    assert re.fullmatch(r"elapsed-s: \d+\.\d{3}", timed[at + 1])
+    assert timed[:at] + timed[at + 2 :] == plain
 
 
 @pytest.mark.parametrize("engine", ["collapsed", "naive"])
@@ -458,6 +470,23 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot read {p}: not UTF-8 text (line 2)\n"
     assert captured.out == ""
+
+
+def test_a_byte_order_mark_is_not_part_of_the_kb(tmp_path, capsys):
+    # some editors start a UTF-8 file with one; it reads as the KB without it
+    plain, marked = tmp_path / "plain.kb", tmp_path / "marked.kb"
+    plain.write_text(TEX_TEXT, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + TEX_TEXT.encode("utf-8"))
+    for args in (["check"], ["ask", "--query", "D(a)", "--witness"]):
+        outputs = []
+        for p in (plain, marked):
+            assert main([args[0], str(p), *args[1:]]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+    # a byte that is not UTF-8 is still found on its line
+    marked.write_bytes(b"\xef\xbb\xbf" + "tbox:\nA <= B  # caf\xe9\n".encode("latin-1"))
+    assert main(["check", str(marked)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {marked}: not UTF-8 text (line 2)\n"
 
 
 def test_rewrite_text_and_dot(tmp_path, capsys):

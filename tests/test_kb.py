@@ -1,7 +1,7 @@
 """Parsing, printing, normalization, and the normal-form validator."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from random import Random
 
 from strata import (
@@ -29,6 +29,7 @@ from strata import (
     validate_normal_form,
 )
 from strata.cli import main
+from strata.kb import _KindTable, _match_assertion, _parse_assertion_line, _Tokens
 
 from oracles import abox_reference, random_abox
 
@@ -82,7 +83,18 @@ PARSE_ERRORS = {
     "tbox:\nA <= B C\n": "line 2, col 8: trailing input: 'C'",
     "abox:\ninv A(a)\n": "line 2, col 9: 'inv' only applies to role assertions",
     "abox:\nr(a b)\n": "line 2, col 6: expected ',' or ')', found 'b'",
+    # the three line ends a file read in text mode turns into "\n"
+    "abox:\r\n\rr(a b)\r": "line 3, col 6: expected ',' or ')', found 'b'",
 }
+# each other character str.splitlines breaks at: on a line of its own it is
+# a blank line's whitespace, not a line end, and inside a line it parts two
+# tokens
+PARSE_ERRORS.update(
+    {
+        f"abox:\n{ch}\nA(a){ch}B(a)\n": "line 3, col 6: trailing input: 'B'"
+        for ch in "\f\v\x1c\x1d\x1e\x85\u2028\u2029"
+    }
+)
 
 
 def test_parse_errors_carry_position():
@@ -306,6 +318,106 @@ def test_parsed_abox_matches_the_reference():
     abox = AboxGraph(concept_asserts, role_asserts, ["g"])
     _check_abox_against_reference(abox, *abox_reference(concept_asserts, role_asserts, ["g"]))
     assert abox.bare_individuals() == ("e", "g")
+
+
+# tokens of assertion lines: every reserved spelling and keyword, a
+# non-ASCII letter, a name that starts with a digit, and names few enough
+# that lines clash on their kinds
+_HEADS = ("A", "B", "r", "s", "a", "Top", "top", "Bot", "bot", "exists", "inv", "invr", "é", "1a")
+_INDS = ("a", "b", "a_1", "A", "r", "Top", "bot", "exists", "inv", "aé", "2b")
+_STRAYS = ("inv", "a", "(", ")", ",", ".", "<=", "&", "é")
+# what may part two tokens, or none
+_SPACES = ("", "", " ", "  ", "\t", "\f", "\xa0", "\u2028")
+
+
+@st.composite
+def _assertion_line(draw):
+    toks = ["inv"] if draw(st.booleans()) else []
+    toks += [draw(st.sampled_from(_HEADS)), "(", draw(st.sampled_from(_INDS))]
+    if draw(st.booleans()):
+        toks += [",", draw(st.sampled_from(_INDS))]
+    toks.append(")")
+    mutation = draw(st.sampled_from(("none", "none", "drop", "insert")))
+    at = draw(st.integers(0, len(toks) - 1))
+    if mutation == "drop":
+        del toks[at]
+    elif mutation == "insert":  # at the end too, as trailing input
+        toks.insert(at + draw(st.integers(0, 1)), draw(st.sampled_from(_STRAYS)))
+    seps = draw(st.lists(st.sampled_from(_SPACES), min_size=len(toks), max_size=len(toks)))
+    return "".join(sep + tok for sep, tok in zip(seps, toks))
+
+
+@settings(max_examples=400)
+@given(st.lists(_assertion_line(), min_size=1, max_size=4))
+# one case per check the pattern's lines must pass: a keyword in each name
+# slot, a reserved role, `inv` on a concept, and each kind use clashing
+@example(["exists(a)"])
+@example(["A(inv)"])
+@example(["r(a, exists)"])
+@example(["top(a, b)"])
+@example(["inv A(a)"])
+@example(["A(a)", "B(A)"])
+@example(["A(a)", "a(b)"])
+@example(["A(a)", "r(A, b)"])
+@example(["A(a)", "r(b, A)"])
+@example(["A(a)", "A(b, c)"])
+@example(["a(a)"])
+@example(["inv r(a, b)", "r(b, a)"])
+def test_the_assertion_pattern_agrees_with_the_token_parser(lines):
+    """``_match_assertion`` against ``_parse_assertion_line``, the reference,
+    in lockstep over the lines of one ABox: where the pattern takes a line,
+    the same item and the same kinds; where it declines, the token parser
+    reads the line as if the pattern had never seen it.  Then ``parse_kb``
+    on the whole text: the same ABox, or the same error at the same place."""
+    ref, fast, roles = _KindTable(), _KindTable(), {}
+    items, error = [], None
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        try:
+            want = _parse_assertion_line(_Tokens(line, lineno), ref)
+        except ParseError as exc:
+            want = error = (str(exc), exc.line, exc.col)
+        got = _match_assertion(line, fast, roles)
+        if got is None:
+            try:
+                got = _parse_assertion_line(_Tokens(line, lineno), fast)
+            except ParseError as exc:
+                got = (str(exc), exc.line, exc.col)
+        assert got == want, line
+        if error is not None:
+            break
+        assert fast.kinds == ref.kinds
+        items.append(want)
+    try:
+        abox = parse_kb("abox:\n" + "\n".join(lines)).abox
+    except ParseError as exc:
+        assert (str(exc), exc.line, exc.col) == error
+    else:
+        assert error is None
+        concept_asserts = [(c, a) for kind, c, a, *_ in items if kind == "concept"]
+        role_asserts = [item[1:] for item in items if item[0] == "role"]
+        assert abox == AboxGraph(concept_asserts, role_asserts)
+
+
+# lines of the common shape, spaced as the tokens may be; the pattern takes
+# each, so the token parser never sees them
+COMMON_LINES = {
+    "r(a, b)": ("role", Role("r"), "a", "b"),
+    "inv r(a, b)": ("role", Role("r"), "b", "a"),
+    "inv\tr ( a ,b )": ("role", Role("r"), "b", "a"),
+    "r(a,a)": ("role", Role("r"), "a", "a"),
+    "A(a)": ("concept", "A", "a"),
+    "A\xa0( a_1 )": ("concept", "A", "a_1"),
+    "top(a)": ("concept", TOP, "a"),
+    "Bot(a)": ("concept", BOT, "a"),
+    "invr(a)": ("concept", "invr", "a"),
+    "A(Top)": ("concept", "A", "Top"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(COMMON_LINES))
+def test_the_assertion_pattern_takes_the_common_line(line):
+    assert _match_assertion(line, _KindTable(), {}) == COMMON_LINES[line]
 
 
 def test_abox_graph_is_unhashable():
