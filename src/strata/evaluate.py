@@ -342,6 +342,7 @@ class Evaluator:
     # -- oracle + consistency --------------------------------------------------
 
     def oracle(self, concept: str, ind: str, want_trace: bool = False):
+        self.levels.height(concept)  # KbError on a name outside the TBox
         return self.saturation().entails(concept, ind, want_trace)
 
     def oracle_inconsistent(self) -> bool:

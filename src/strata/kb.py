@@ -847,7 +847,6 @@ class _Normalizer:
         self.existing = set(existing_names)
         self.counter = 0
         self.name_for_concept = {}
-        self.provenance = {}
         self.emitted = set()
         self.out = []
 
@@ -861,7 +860,6 @@ class _Normalizer:
                 break
         self.existing.add(name)
         self.name_for_concept[concept] = name
-        self.provenance[name] = concept
         return name
 
     def emit(self, ax: NormGci):
@@ -869,22 +867,14 @@ class _Normalizer:
             self.emitted.add(ax)
             self.out.append(ax)
 
-    def define_neg(self, concept: Concept) -> str:
-        """Name a complex concept used on a left-hand side: concept <= X."""
+    def define(self, concept: Concept, on_rhs: bool) -> str:
+        """Name a complex concept: X <= concept where it is used on a
+        right-hand side, concept <= X where on a left-hand side."""
         name = self.fresh(concept)
-        key = (concept, "neg")
+        key = (concept, on_rhs)
         if key not in self.emitted:
             self.emitted.add(key)
-            self.norm_axiom(concept, name)
-        return name
-
-    def define_pos(self, concept: Concept) -> str:
-        """Name a complex concept used on a right-hand side: X <= concept."""
-        name = self.fresh(concept)
-        key = (concept, "pos")
-        if key not in self.emitted:
-            self.emitted.add(key)
-            self.norm_axiom(name, concept)
+            self.norm_axiom(*((name, concept) if on_rhs else (concept, name)))
         return name
 
     def norm_axiom(self, lhs: Concept, rhs: Concept):
@@ -898,24 +888,24 @@ class _Normalizer:
             return
         if isinstance(rhs, Exists):
             if not _is_atomic(rhs.filler):
-                rhs = Exists(rhs.role, self.define_pos(rhs.filler))
+                rhs = Exists(rhs.role, self.define(rhs.filler, True))
             if not _is_atomic(lhs):
-                lhs = self.define_neg(lhs)
+                lhs = self.define(lhs, False)
             self.emit(ExRight(lhs, rhs.role, rhs.filler))
             return
         # rhs is a name or Bot; take the left-hand side apart.
         if isinstance(lhs, And):
             l1, l2 = lhs.lhs, lhs.rhs
             if not _is_atomic(l1):
-                l1 = self.define_neg(l1)
+                l1 = self.define(l1, False)
             if not _is_atomic(l2):
-                l2 = self.define_neg(l2)
+                l2 = self.define(l2, False)
             self.emit(ConjSub(l1, l2, rhs))
             return
         if isinstance(lhs, Exists):
             filler = lhs.filler
             if not _is_atomic(filler):
-                filler = self.define_neg(filler)
+                filler = self.define(filler, False)
             self.emit(ExLeft(lhs.role, filler, rhs))
             return
         self.emit(Sub(lhs, rhs))
@@ -953,7 +943,7 @@ def normalize(gcis: Iterable[Gci], reserved: Iterable[str] = ()):
     norm = _Normalizer(concepts.union(roles, reserved))
     for g in gcis:
         norm.norm_axiom(g.lhs, g.rhs)
-    return TBox(norm.out), dict(norm.provenance)
+    return TBox(norm.out), {name: c for c, name in norm.name_for_concept.items()}
 
 
 def normalize_kb(gcis: Iterable[Gci], abox: AboxGraph, query: Optional[str] = None):

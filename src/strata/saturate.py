@@ -67,6 +67,7 @@ from .kb import (
     Rules,
     Sub,
     TBox,
+    format_axiom,
 )
 
 
@@ -387,8 +388,6 @@ class DerivationStep:
     uses: tuple
 
     def __str__(self):
-        from .kb import format_axiom
-
         def fmt(x):
             if x[0] == "concept":
                 return f"{x[1]}({x[2]})"

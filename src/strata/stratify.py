@@ -30,9 +30,9 @@ Heights are the pointwise-least solution of the clauses at or above a floor
 map (all 0 for the minimal heights, a user order to complete one), so the
 computed nesting depth for the rewriting is minimal.  They come from one
 pass over the strongly connected components of the ``le``/``lt`` edges in
-topological order (Tarjan, SIAM J. Comput. 1972).  For a rejected TBox the
-same pass skips the violated clauses, so its heights are the least solution
-of the rest.
+topological order (Kosaraju's algorithm; Sharir, Comput. Math. Appl.
+1981).  For a rejected TBox the same pass skips the violated clauses, so its
+heights are the least solution of the rest.
 """
 
 from __future__ import annotations
@@ -138,57 +138,41 @@ def _pinned(clause) -> bool:
 
 
 def _sccs(vertices, succ):
-    """Iterative Tarjan; returns scc id per vertex, ids in topological order."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    scc_of = {}
-    sccs = []
-    counter = [0]
-
+    """Kosaraju (Sharir 1981), iterative: one DFS records the finish order,
+    a second walks the reversed edges in reverse finish order, so each of its
+    trees is a component and they come out in topological order.  Returns
+    the scc id per vertex and the components, by id."""
+    seen, finished = set(), []
     for root in vertices:
-        if root in index:
+        if root in seen:
             continue
+        seen.add(root)
         work = [(root, iter(succ.get(root, ())))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
+                if w not in seen:
+                    seen.add(w)
                     work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    # Tarjan emits components in reverse topological order.
-    sccs.reverse()
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
+            else:
+                work.pop()
+                finished.append(v)
+    pred = {}
+    for v, ws in succ.items():
+        for w in ws:
+            pred.setdefault(w, []).append(v)
+    scc_of, sccs = {}, []
+    for root in reversed(finished):
+        if root not in scc_of:
+            scc_of[root] = len(sccs)
+            comp = [root]
+            for v in comp:
+                for u in pred.get(v, ()):
+                    if u not in scc_of:
+                        scc_of[u] = len(sccs)
+                        comp.append(u)
+            sccs.append(comp)
     return scc_of, sccs
 
 
@@ -570,21 +554,18 @@ class LevelMap:
         return cone
 
     def _cone_preds(self) -> Dict[int, int]:
-        """Per head bit, the mask of names one body->head edge below it."""
+        """Per head bit, the mask of names one body->head edge below it: the
+        bits and needs of the head's goal steps, and the spawns' edges."""
         if self._preds is None:
-            rules = self.tbox.rules
             preds: Dict[int, int] = {}
 
             def edge(body, head):
                 preds[head] = preds.get(head, 0) | body
 
-            for lbit, rbit, _ in rules.subs:
-                edge(lbit, rbit)
-            for lmask, rbit, _ in rules.conjs:
-                edge(lmask, rbit)
-            for _, fbit, rbit, _ in rules.exlefts:
-                edge(fbit, rbit)
-            for lbit, fbit, _, back, fwd, _ in rules.spawns:
+            for head, entries in self._steps.items():
+                for _, bit, need, _ in entries:
+                    edge(bit | need, head)
+            for lbit, fbit, _, back, fwd, _ in self.tbox.rules.spawns:
                 edge(lbit, fbit)
                 # the new successor is a role-neighbour of its parent, and
                 # the parent an inverse-role neighbour of the successor

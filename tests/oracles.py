@@ -381,3 +381,18 @@ def abox_reference(concept_asserts, role_asserts, individuals=()):
         triples.add((role, a, b))
         triples.add((role.invert(), b, a))
     return triples, concepts
+
+
+def sccs_by_reachability(vertices, succ):
+    """The strongly connected components as a set of frozensets: the classes
+    of mutual reachability, with reachability taken one start at a time."""
+    reach = {}
+    for v in vertices:
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ.get(todo.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach[v] = seen
+    return {frozenset(w for w in vertices if w in reach[v] and v in reach[w]) for v in vertices}

@@ -213,6 +213,17 @@ def test_pipeline_query_on_the_normalizers_name_is_outside_the_kb(engine):
     assert compile_kb(kb.gcis, kb.abox).fresh.keys() == {"X1"}
 
 
+@pytest.mark.parametrize("engine", tuple(evaluate.ENGINES))
+def test_every_engine_rejects_a_name_outside_a_directly_compiled_tbox(engine):
+    kb = parse_kb("tbox:\nA <= B\nabox:\nA(a)\nZ(a)\n")
+    search, _ = evaluate.ENGINES[engine](compile_kb(kb.gcis, kb.abox))
+    for name in ("Z", "Nowhere"):  # asserted in the ABox only, and unknown
+        with pytest.raises(KbError, match=f"{name} is not a concept name of the TBox"):
+            search(name, "a")
+    assert entails_iq(kb.gcis, kb.abox, "Z", "a", engine=engine).answer
+    assert not entails_iq(kb.gcis, kb.abox, "Nowhere", "a", engine=engine).answer
+
+
 def test_pipeline_accepts_user_order():
     kb = parse_kb(TEX_TEXT + "order:\nA\nB\nC r\nD\n")
     res = entails_iq(kb.gcis, kb.abox, "D", "a", order=kb.order)

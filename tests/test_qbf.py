@@ -52,6 +52,12 @@ def test_formula_wellformedness_checks():
         Qbf3Dnf(("e",), (((2, True), (1, True), (1, True)),))
     with pytest.raises(KbError):
         Qbf3Dnf(("x",), (((1, True), (1, True), (1, True)),))
+    with pytest.raises(KbError, match="exactly three literals"):
+        Qbf3Dnf(("e",), (((1, True), (1, True)),))
+
+
+def test_formula_prints_its_prefix_and_matrix():
+    assert str(_forall_exists()) == "Ax1.Ex2. (x1&x2&x2 | ~x1&~x2&~x2)"
 
 
 def test_random_qbf_is_deterministic():

@@ -32,7 +32,7 @@ from strata import (
 )
 from strata.fuzz import SIZE_CLASSES
 from strata.kb import BOT_BIT
-from strata.stratify import _clauses
+from strata.stratify import _clauses, _sccs
 
 from conftest import LOW_BOT_TEXT
 
@@ -45,6 +45,7 @@ from oracles import (
     random_dllite_tbox,
     random_normal_tbox,
     restrict,
+    sccs_by_reachability,
     signature,
 )
 
@@ -108,6 +109,26 @@ def test_check_rejects_separating_tbox_with_cycle_report():
     # the least heights of the constraints that still hold: every strict
     # constraint sits inside the A/X1/X2 cycle, so nothing lifts a name
     assert res.height == {"A": 0, "X1": 0, "X2": 0, "r": 0, "s": 0}
+
+
+def test_sccs_match_mutual_reachability_in_topological_order():
+    rng = Random(7)
+    for _ in range(3000):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+        succ = {}
+        for _ in range(rng.randint(0, 2 * len(vertices))):  # self-loops, repeats
+            succ.setdefault(rng.choice(vertices), []).append(rng.choice(vertices))
+        rng.shuffle(vertices)
+        scc_of, sccs = _sccs(vertices, succ)
+        assert {frozenset(c) for c in sccs} == sccs_by_reachability(vertices, succ)
+        assert all(scc_of[v] == i for i, comp in enumerate(sccs) for v in comp)
+        assert all(scc_of[v] <= scc_of[w] for v, ws in succ.items() for w in ws)
+
+
+def test_random_stratified_kb_checks_max_concepts():
+    for bad in (0, 17):
+        with pytest.raises(KbError, match="max_concepts must lie between 1 and 16"):
+            random_stratified_kb(Random(0), max_concepts=bad)
 
 
 def test_check_accepts_single_reachability_axiom():
