@@ -51,13 +51,16 @@ def _write(path: Path, text: str):
 
 def _concept_name(text: str, kb) -> str:
     """`text` read as a concept of `kb` by the KB syntax: a spelling of Top
-    or Bot, or a name that is neither a keyword nor a role of `kb`."""
+    or Bot, or a name that is neither a keyword nor a role or individual of
+    `kb`."""
     if text in RESERVED:
         return RESERVED[text]
     if not _is_name(text):
         raise KbError(f"{text!r} is not a concept name")
     if text in kb.role_names():
         raise KbError(f"{text} is a role name, not a concept")
+    if text in kb.abox.asserted:
+        raise KbError(f"{text} is an individual name, not a concept")
     return text
 
 

@@ -124,8 +124,6 @@ class Evaluator:
         # memo of [lower names decided there, those of them that hold]
         self._asserted: Dict[str, int] = {}
         self._memo: Dict[str, list] = {}
-        # per height, the mask of its names, for deciding lowest height first
-        self._rows = tuple(sum(bit for _, bit in row) for row in self.levels.by_height)
         self._memo_naive: Dict[Tuple[str, str, bool], bool] = {}
         self._families: Dict[bool, _Family] = {}
         self.naive_visited = 0
@@ -157,7 +155,7 @@ class Evaluator:
         nest through every level below: highest first overflowed the stack
         on the 250-level tower of ``tests/test_scale.py``."""
         memo = self._memo.get(ind) or self._memo.setdefault(ind, [0, 0])
-        for n, row in enumerate(self._rows):
+        for n, row in enumerate(self.levels.rows):
             todo = need & row
             if not todo:
                 continue
@@ -177,14 +175,23 @@ class Evaluator:
         name below n at `ind`.  A search needs less (see
         ``_collapsed_search``), so it reads the same memo only where it has
         decided it."""
-        below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
-        self._decide(ind, below)
-        return self._asserted_at(ind) & self.levels.con_mask(n) | self._memo[ind][1] & below
+        self._decide(ind, self.levels.below_mask(n))
+        return self._premise(ind, n)
+
+    def _premise(self, ind: str, n: int) -> int:
+        """What is decided at `ind` for level n: Top, the asserted names of
+        con(T|n), and the names below n known to hold there."""
+        holds, levels = self._memo.get(ind, (0, 0))[1], self.levels
+        return self._asserted_at(ind) & levels.con_mask(n) | holds & levels.below_mask(n)
 
     def collapsed(self, concept: str, ind: str) -> bool:
+        return self._collapsed_query(concept, ind)[1]
+
+    def _collapsed_query(self, concept: str, ind: str):
+        """(n, answer, parents, hit) of the search for `concept` at its height n."""
         self.abox.require(ind)
         n = self.levels.height(concept)  # KbError on a name outside the TBox
-        return self._collapsed_search(1 << self.tbox.bit_of[concept], ind, n)[0]
+        return (n, *self._collapsed_search(1 << self.tbox.bit_of[concept], ind, n))
 
     def _collapsed_search(self, goal_bit: int, ind: str, n: int):
         """BFS over (individual, goal bit) nodes at level n, the goal's
@@ -217,8 +224,7 @@ class Evaluator:
         may answer differently from a search that expands every node.
         Bot's own search keeps no leaves (see ``automaton_inconsistent``)."""
         levels = self.levels
-        con = levels.con_mask(n)
-        below = levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
+        con, below = levels.con_mask(n), levels.below_mask(n)
         leaf = 0 if goal_bit == BOT_BIT else below
         neighbors = self.abox.neighbors
         goal_moves, cones, cone_of = levels.goal_moves, levels._cones, levels._cone
@@ -263,23 +269,17 @@ class Evaluator:
 
     def collapsed_witness(self, concept: str, ind: str) -> Optional[RunWitness]:
         """The path of the search that answers.  A state's premise is what
-        is decided at its individual once the search is done: Top, the
-        asserted names of con(T|n), and the lower names known to hold.  It
-        holds every bit the search read there and is the same at every node
-        of one individual, so a test step keeps it."""
-        self.abox.require(ind)
-        n = self.levels.height(concept)
-        found, parents, hit = self._collapsed_search(1 << self.tbox.bit_of[concept], ind, n)
+        is decided at its individual once the search is done (``_premise``).
+        It holds every bit the search read there and is the same at every
+        node of one individual, so a test step keeps it."""
+        n, found, parents, hit = self._collapsed_query(concept, ind)
         if not found:
             return None
-        con = self.levels.con_mask(n)
-        below = self.levels.con_mask(n - 1) & ~(TOP_BIT | BOT_BIT)
         names_of, name_of = self.tbox.names_of, self.tbox.name_of
 
         def state(node):
             x, bit = node
-            holds = self._memo.get(x, (0, 0))[1]
-            return AutState(names_of(self._asserted[x] & con | holds & below), name_of[bit])
+            return AutState(names_of(self._premise(x, n)), name_of[bit])
 
         return _witness(parents, hit, state, RoleStep)
 

@@ -782,6 +782,12 @@ def parse_kb(text: str) -> ParsedKb:
                 level.append(tok)
             if level:
                 order_levels.append(tuple(level))
+    # order: lists concept and role names, checked once the ABox is read
+    for tok, lineno in order_lines.items():
+        if kinds.kinds.get(tok) == "individual":
+            toks = _Tokens(lines[lineno - 1].split("#", 1)[0].strip(), lineno)
+            toks.i = toks.toks.index(tok)
+            toks.err(f"{tok!r} is an individual name, not a concept or role name")
     abox = AboxGraph(concept_asserts, role_asserts, individuals)
     levels = tuple(order_levels) if "order" in seen_sections else None
     return ParsedKb(tuple(gcis), abox, levels)

@@ -362,11 +362,11 @@ class LevelMap:
     ``con(T|n)`` is taken as the TBox concept names of height at most n,
     plus Top, plus Bot from the lowest level whose axioms mention it: a name
     of low height may occur only inside higher-level axioms, yet its tests
-    must already be available to the low-level automata.  The mask of every
-    height up to the highest a name holds, which may lie above every axiom,
-    is built at construction, with the names sorted by height.  Each level
-    has one view, T|n's ``Rules`` and closer, built on first use; the top
-    level's is the whole TBox's ``(tbox.rules, closer)`` from the start.
+    must already be available to the low-level automata.  ``rows``, one
+    concept mask per height up to the highest a name holds, and from it
+    ``con_mask`` and ``below_mask`` are built at construction.  Each level
+    has one view, T|n's closer, built on first use, whose ``rules`` are
+    ``rules_at(n)``; the top level's is the whole TBox's ``closer``.
 
     Every level's closure shares that whole-TBox ``closer``, which the
     saturation pre-check fills too.  A level-n root fires T|n's rules
@@ -409,28 +409,28 @@ class LevelMap:
             for head, entries in tbox.steps.items()
         }
         self.closer = TypeCloser(tbox.rules, tbox.signature_mask)
-        self._views = {self.max_level: (tbox.rules, self.closer)}
+        self._closers = {self.max_level: self.closer}
         self._moves: Dict[Tuple[int, int, int], tuple] = {}
         self._cones: Dict[int, int] = {}
         self._preds: Optional[Dict[int, int]] = None
-        # per height, its concept names as (name, bit) pairs, by name; a
-        # name no axiom mentions (``TBox.with_concept``) keeps its order
-        # height, which may lie above every axiom
+        # per height, the mask of its concept names; a name no axiom mentions
+        # (``TBox.with_concept``) keeps its order height, maybe above them all
         top = max([self.max_level, *(heights.get(c, 0) for c in tbox.concept_names)])
-        self.by_height = tuple([] for _ in range(top + 1))
+        rows = [0] * (top + 1)
         for c in tbox.concept_names:
-            self.by_height[heights.get(c, 0)].append((c, 1 << tbox.bit_of[c]))
-        # per row of by_height, con(T|n) as a mask; Bot only from the lowest
+            rows[heights.get(c, 0)] |= 1 << tbox.bit_of[c]
+        self.rows = tuple(rows)
+        # per row, the names below it and con(T|n); Bot only from the lowest
         # level whose axioms mention it
         bot_from = min(
             (n for ax, n in level_of.items() if BOT in axiom_names(ax)[0]),
             default=top + 1,
         )
-        masks, mask = [], TOP_BIT
-        for n, row in enumerate(self.by_height):
-            mask |= sum(bit for _, bit in row)
-            masks.append(mask | (BOT_BIT if n >= bot_from else 0))
-        self._con_masks = tuple(masks)
+        below, con = [0], []
+        for n, row in enumerate(rows):
+            con.append(below[-1] | row | TOP_BIT | (BOT_BIT if n >= bot_from else 0))
+            below.append(below[-1] | row)
+        self._below_masks, self._con_masks = tuple(below), tuple(con)
 
     def height(self, name: str) -> int:
         """The level `name` is searched and rewritten at: its height, 0 for
@@ -443,24 +443,6 @@ class LevelMap:
             raise KbError(f"{name} is not a concept name of the TBox")
         return 0 if name == TOP else self.heights.get(name, 0)
 
-    def _view(self, n: int):
-        """T|n's ``(rules, closer)``, built on first use; above the top
-        level, the top level's."""
-        n = min(n, self.max_level)
-        got = self._views.get(n)
-        if got is None:
-            whole = self.tbox.rules
-            subs, conjs, exlefts, spawns = self._rule_levels
-            rules = rule_index(
-                [x for x, at in zip(whole.subs, subs) if at <= n],
-                [x for x, at in zip(whole.conjs, conjs) if at <= n],
-                [x for x, at in zip(whole.exlefts, exlefts) if at <= n],
-                [x[:3] for x, at in zip(whole.spawns, spawns) if at <= n],
-            )
-            closer = TypeCloser(rules, self.con_mask(n), shared=self.closer)
-            got = self._views[n] = (rules, closer)
-        return got
-
     def rules_at(self, n: int) -> Rules:
         """T|n's ``Rules``, filtered out of the whole TBox's compiled tuples:
         equal to those of a TBox built from the axioms of T|n alone, over the
@@ -469,26 +451,44 @@ class LevelMap:
         the top level they are the whole TBox's, at level -1 the empty
         T|-1's.  The level's signature is ``con_mask``'s; the goal moves read
         the axioms of T|n off the whole TBox by level."""
-        return self._view(n)[0]
+        return self.closer_at(n).rules
 
     def con_mask(self, n: int) -> int:
         """Bit mask of con(T|n): names of height <= n, Top, Bot-if-present;
         just Top below level 0."""
-        return self._con_masks[min(n, len(self.by_height) - 1)] if n >= 0 else TOP_BIT
+        return self._con_masks[min(n, len(self.rows) - 1)] if n >= 0 else TOP_BIT
+
+    def below_mask(self, n: int) -> int:
+        """Mask of the names of height < n (no Top/Bot), which a level-n search
+        only tests; at Bot's level ``max_level + 1``, every name of an axiom."""
+        return self._below_masks[max(0, min(n, len(self.rows)))]
 
     def concepts_at(self, n: int):
-        """Concept names of height <= n (no Top/Bot), lowest first."""
-        return tuple(c for row in self.by_height[: n + 1] for c, _ in row)
+        """Concept names of height <= n (no Top/Bot), lowest first, by name."""
+        return tuple(c for row in self.rows[: n + 1] for c in sorted(self.tbox.names_of(row)))
 
     def closer_at(self, n: int) -> TypeCloser:
-        """The closer of T|n, whose successor types come from ``closer``;
-        Bot floods a type to con(T|n)."""
-        return self._view(n)[1]
+        """T|n's closer, built on first use over its ``Rules``; above the top
+        level, ``closer``.  Successor types come from ``closer``; Bot floods
+        a type to con(T|n)."""
+        n = min(n, self.max_level)
+        closer = self._closers.get(n)
+        if closer is None:
+            whole = self.tbox.rules
+            subs, conjs, exlefts, spawns = self._rule_levels
+            rules = rule_index(
+                [x for x, at in zip(whole.subs, subs) if at <= n],
+                [x for x, at in zip(whole.conjs, conjs) if at <= n],
+                [x for x, at in zip(whole.exlefts, exlefts) if at <= n],
+                [x[:3] for x, at in zip(whole.spawns, spawns) if at <= n],
+            )
+            closer = self._closers[n] = TypeCloser(rules, self.con_mask(n), shared=self.closer)
+        return closer
 
     def closure_contexts(self) -> int:
         """Contexts the closers hold: the shared ones plus every level's
         roots and Bot-holding seeds."""
-        return sum(closer.contexts() for _, closer in self._views.values())
+        return sum(closer.contexts() for closer in self._closers.values())
 
     def goal_moves(self, level: int, premise_mask: int, goal_bit: int):
         """The moves replacing the goal of a (premise, goal) state at

@@ -214,25 +214,33 @@ s(a, b)
 """
 
 
-@pytest.mark.parametrize("role", ["r", "s"], ids=["tbox-role", "abox-role"])
+# a role or individual name of ROLES_TEXT where a concept goes, and its kind
+NOT_CONCEPTS = pytest.mark.parametrize(
+    "name, kind",
+    [("r", "a role"), ("s", "a role"), ("b", "an individual")],
+    ids=["tbox-role", "abox-role", "individual"],
+)
+
+
+@NOT_CONCEPTS
 @pytest.mark.parametrize("engine", ["collapsed", "naive", "oracle"])
-def test_ask_on_a_role_name_is_a_usage_error(tmp_path, capsys, engine, role):
+def test_ask_on_a_role_name_is_a_usage_error(tmp_path, capsys, engine, name, kind):
     p = tmp_path / "roles.kb"
     p.write_text(ROLES_TEXT, encoding="utf-8")
-    assert main(["ask", str(p), "--query", f"{role}(a)", "--engine", engine]) == 2
+    assert main(["ask", str(p), "--query", f"{name}(a)", "--engine", engine]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {role} is a role name, not a concept\n"
+    assert captured.err == f"error: {name} is {kind} name, not a concept\n"
     assert captured.out == ""
     assert main(["ask", str(p), "--query", "A(a)", "--engine", engine]) == 0
 
 
-@pytest.mark.parametrize("role", ["r", "s"], ids=["tbox-role", "abox-role"])
-def test_oracle_on_a_role_name_is_a_usage_error(tmp_path, capsys, role):
+@NOT_CONCEPTS
+def test_oracle_on_a_role_name_is_a_usage_error(tmp_path, capsys, name, kind):
     p = tmp_path / "roles.kb"
     p.write_text(ROLES_TEXT, encoding="utf-8")
-    assert main(["oracle", str(p), "--ask", f"{role}(a)"]) == 2
+    assert main(["oracle", str(p), "--ask", f"{name}(a)"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {role} is a role name, not a concept\n"
+    assert captured.err == f"error: {name} is {kind} name, not a concept\n"
     assert captured.out == ""
     assert main(["oracle", str(p), "--ask", "B(a)"]) == 1
 
@@ -507,8 +515,9 @@ def test_rewrite_text_and_dot(tmp_path, capsys):
         ("exists", "'exists' is not a concept name"),
         ("r", "r is a role name, not a concept"),
         ("s", "s is a role name, not a concept"),
+        ("b", "b is an individual name, not a concept"),
     ],
-    ids=["space", "digit", "keyword", "tbox-role", "abox-role"],
+    ids=["space", "digit", "keyword", "tbox-role", "abox-role", "individual"],
 )
 def test_rewrite_for_a_non_concept_is_a_usage_error(tmp_path, capsys, name, message):
     p = tmp_path / "roles.kb"

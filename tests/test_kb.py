@@ -85,6 +85,13 @@ PARSE_ERRORS = {
     "abox:\nr(a b)\n": "line 2, col 6: expected ',' or ')', found 'b'",
     # the three line ends a file read in text mode turns into "\n"
     "abox:\r\n\rr(a b)\r": "line 3, col 6: expected ',' or ')', found 'b'",
+    # an individual in order:, whichever section comes first
+    "tbox:\nA <= B\nabox:\nA(a)\norder:\nA a\nB r\n": (
+        "line 6, col 3: 'a' is an individual name, not a concept or role name"
+    ),
+    "order:\nA  a\nB r\nabox:\nA(a)\n": (
+        "line 2, col 4: 'a' is an individual name, not a concept or role name"
+    ),
 }
 # each other character str.splitlines breaks at: on a line of its own it is
 # a blank line's whitespace, not a line end, and inside a line it parts two

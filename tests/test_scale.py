@@ -1,14 +1,16 @@
 """Data-scale shapes: every answer of the collapsed engine against saturation
-and a closed form, and a tower deeper than the recursion limit."""
+and a closed form, a tower deeper than the recursion limit, and the pinned
+node counts of answering every query of four shapes."""
 
 import sys
 from random import Random
 
 import pytest
 
-from strata import AboxGraph, Evaluator, ExLeft, Role, Sub, TBox, heights_for
+from strata import AboxGraph, ConjSub, Evaluator, ExLeft, Role, Sub, TBox, heights_for
 
 R = Role("r")
+S = Role("s")
 
 
 def _chain_edges(n):
@@ -106,3 +108,62 @@ def test_the_100_level_tower_reads_lower_levels_through_the_labels():
     assert ev.collapsed(top, "a0") is True
     assert ev.saturation().labels["a0"] >> tbox.bit_of[top] & 1
     assert ev.collapsed_visited == (n + 1) ** 2
+
+
+def _graph_kb(rng, n):
+    """A random graph with cycles: 2n edges over r and s, B flowing back
+    over r from A, D forward over s, and E where both meet."""
+    tbox = TBox(
+        [ExLeft(R, "B", "B"), ExLeft(S.invert(), "D", "D"), Sub("A", "B"), ConjSub("B", "D", "E")]
+    )
+    inds = [f"a{i}" for i in range(n)]
+    edges = [(rng.choice((R, S)), rng.choice(inds), rng.choice(inds)) for _ in range(2 * n)]
+    asserts = [(c, x) for x in rng.sample(inds, n // 10) for c in "AD"]
+    return tbox, AboxGraph(asserts, edges, inds)
+
+
+def _tree_kb(rng, n):
+    """A binary r tree a1 -> a2, a3, ... with B flowing up from A and D
+    flowing down."""
+    tbox = TBox([ExLeft(R, "B", "B"), ExLeft(R.invert(), "D", "D"), Sub("A", "B")])
+    inds = [f"a{i}" for i in range(1, n + 1)]
+    edges = [(R, f"a{i // 2}", f"a{i}") for i in range(2, n + 1)]
+    asserts = [("A", x) for x in rng.sample(inds, n // 20)]
+    asserts += [("D", x) for x in rng.sample(inds, n // 20)]
+    return tbox, AboxGraph(asserts, edges, inds)
+
+
+# the shapes of the node-count pins, each from (rng, ABox size) to a TBox
+# and an ABox
+FAMILIES = {
+    "chain": lambda rng, n: _chain_kb(rng, n)[:2],
+    "graph": _graph_kb,
+    "tree": _tree_kb,
+    "tower": lambda rng, n: _tower_kb(rng, n, 20)[:2],
+}
+# per family and ABox size, the nodes the collapsed engine visits to answer
+# every (concept, individual) pair on one evaluator in a seeded order; a
+# change to any of them is a re-pin
+ALL_PAIRS_VISITED = {
+    ("chain", 100): 4595,
+    ("chain", 200): 13679,
+    ("graph", 100): 3596,
+    ("graph", 200): 6686,
+    ("tree", 127): 1807,
+    ("tree", 255): 4151,
+    ("tower", 30): 2361,
+    ("tower", 60): 4761,
+}
+
+
+@pytest.mark.parametrize("family, n", list(ALL_PAIRS_VISITED))
+def test_all_pairs_node_counts_are_pinned(family, n):
+    rng = Random(n)
+    tbox, abox = FAMILIES[family](rng, n)
+    ev = Evaluator(tbox, abox, heights_for(tbox)[0])
+    labels = ev.saturation().labels
+    pairs = [(c, x) for c in tbox.concept_names for x in abox.individuals]
+    rng.shuffle(pairs)
+    for c, x in pairs:
+        assert ev.collapsed(c, x) == bool(labels[x] >> tbox.bit_of[c] & 1), (c, x)
+    assert ev.collapsed_visited == ALL_PAIRS_VISITED[family, n]

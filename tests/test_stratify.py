@@ -31,8 +31,8 @@ from strata import (
     verify_preorder,
 )
 from strata.fuzz import SIZE_CLASSES
-from strata.kb import BOT_BIT
-from strata.stratify import _clauses, _sccs
+from strata.kb import BOT_BIT, axiom_names
+from strata.stratify import _clauses, _sccs, axiom_level
 
 from conftest import LOW_BOT_TEXT
 
@@ -353,6 +353,31 @@ def test_level_rules_equal_those_of_the_restricted_tbox(limits, seed, drawn):
         con = levels.con_mask(n)  # just Top at level -1
         assert bool(con & BOT_BIT) == want.bot_occurs, n
         assert not signature(want) & ~con, n
+
+
+@FUZZ_CLASSES
+@settings(max_examples=30)
+@given(st.integers(0, 1_000_000), st.booleans())
+def test_level_tables_equal_masks_built_from_the_heights(limits, seed, drawn):
+    tbox, _, levels = _fuzz_level_map(Random(seed), limits, drawn)
+    height = {c: levels.heights.get(c, 0) for c in tbox.concept_names}
+    top = max([levels.max_level, *height.values()])
+    assert levels.rows == tuple(
+        tbox.mask_of(c for c in height if height[c] == n) for n in range(top + 1)
+    )
+    # Bot from the lowest level whose axioms mention it, if any does
+    bot_from = min(
+        (axiom_level(ax, levels.heights) for ax in tbox.axioms if BOT in axiom_names(ax)[0]),
+        default=None,
+    )
+    for n in range(-1, levels.max_level + 2):
+        names = sorted((c for c in height if height[c] <= n), key=lambda c: (height[c], c))
+        assert levels.concepts_at(n) == tuple(names), n
+        bot = BOT_BIT if bot_from is not None and bot_from <= n else 0
+        assert levels.con_mask(n) == tbox.mask_of([TOP, *names]) | bot, n
+        below = tbox.mask_of(c for c in height if height[c] < n)
+        assert levels.below_mask(n) == below, n
+        assert levels.rules_at(n) is levels.closer_at(n).rules, n
 
 
 @FUZZ_CLASSES
